@@ -7,8 +7,8 @@ speed up."
 
 We measure on call-chain-heavy workloads: dependency counts and sparse
 fixpoint times with and without the bypass rewriting, plus the two bypass
-implementations (per-location closure vs the paper's literal pairwise
-rewriting).
+implementations (memoized per-location closure vs the paper's pairwise
+rewriting, saturated).
 
     pytest benchmarks/bench_bypass.py --benchmark-only -s
 """
@@ -24,8 +24,8 @@ from repro.analysis.datadep import (
 )
 from repro.analysis.defuse import compute_defuse
 from repro.analysis.dense import build_interproc_graph
+from repro.analysis.schedule import GraphView, widening_points_for
 from repro.analysis.sparse import run_sparse
-from repro.analysis.worklist import find_widening_points
 
 
 def _pipeline(prep, bypass):
@@ -60,11 +60,16 @@ def test_bypass_improves_fix_time(prepared_interval):
 
 def test_closure_vs_naive_rewriting(prepared_interval):
     """Same result, very different construction cost — why the per-location
-    closure implementation matters in practice."""
+    closure implementation matters in practice. Widening points are the
+    WTO heads of the control graph, as in ``prepare_interval_sparse``."""
     prep = prepared_interval["small"]
     defuse = compute_defuse(prep.program, prep.pre)
-    graph = build_interproc_graph(prep.program, prep.pre.site_callees)
-    wps = find_widening_points([prep.program.entry_node().nid], graph.succs)
+    graph = build_interproc_graph(
+        prep.program, prep.pre.site_callees, localized=False
+    )
+    _wto, wps = widening_points_for(
+        GraphView((prep.program.entry_node().nid,), graph.succs)
+    )
     raw = generate_datadeps(
         prep.program, prep.pre, defuse, bypass=False, widening_points=wps
     ).deps

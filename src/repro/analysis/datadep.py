@@ -16,10 +16,18 @@ the spurious interprocedural dependencies of the naïve whole-graph approach:
 * after per-procedure generation, interprocedural edges connect call sites
   to callee entries (for used locations) and callee exits to return sites
   (for defined locations);
-* finally the **bypass optimization** removes pass-through nodes: when
-  ``a —l→ b`` and ``b —l→ c`` with ``l`` neither really defined nor used at
-  ``b``, the pair is replaced by ``a —l→ c`` (iterated to convergence) —
-  this is what makes the analysis *fully* sparse across call chains.
+* finally the **bypass optimization** links each real definition straight
+  to the real uses it reaches through *pass-through* nodes (neither really
+  defining nor using ``l``, and no widening point) — this is what makes
+  the analysis *fully* sparse across call chains.
+
+All of it runs on small ints: each generation interns its locations
+(``AbsLoc``s, or octagon packs) in a :class:`LocTable`, converts every
+D̂/Û set once, and :class:`DataDeps` stores the relation per location id,
+converting back only at its API boundary. The bypass is one memoized
+closure per location: the real nodes reached through each pass-through
+node are computed once. D̂/Û carriers and widening points are its only
+split points, as in Tavares et al.'s parameterized sparse representations.
 
 Two intra-procedural chain generators are provided: an SSA-based one
 (dominance frontiers for phi placement + a renaming walk; the paper's
@@ -29,9 +37,10 @@ cross-check the SSA generator in tests).
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.defuse import DefUseInfo
 from repro.analysis.preanalysis import PreAnalysis
@@ -41,152 +50,184 @@ from repro.ir.commands import CCall, CRetBind
 from repro.ir.dominators import compute_dominators, iterated_frontier
 from repro.ir.program import Program
 
+_EMPTY: frozenset = frozenset()
 
-class DataDeps:
-    """The ternary dependency relation ``↝ ⊆ C × L̂ × C`` with adjacency
-    indexes in both directions."""
+
+class LocTable:
+    """Locations interned to small ints, private to one generation (octagon
+    dependencies are keyed by packs, which have no global ids)."""
 
     def __init__(self) -> None:
-        self._out: dict[int, dict[int, set[AbsLoc]]] = {}
-        self._in: dict[int, dict[int, set[AbsLoc]]] = {}
-        self._count = 0
+        #: location → id; ids are insertion positions, so ``list(index)``
+        #: maps ids back to locations
+        self.index: dict = {}
+        #: converted location sets, keyed by the set itself
+        self.sets: dict[frozenset, frozenset[int]] = {}
+
+    def intern(self, loc) -> int:
+        return self.index.setdefault(loc, len(self.index))
+
+    def ids(self, locs: frozenset) -> frozenset[int]:
+        """``locs`` as ids; each distinct set is converted once."""
+        out = self.sets.get(locs)
+        if out is None:
+            out = self.sets[locs] = frozenset(map(self.intern, locs))
+        return out
+
+
+def _link(by_src: dict[int, tuple[int, ...]], src: int, dst: int) -> None:
+    dsts = by_src.get(src, ())
+    if dst not in dsts:
+        by_src[src] = dsts + (dst,)
+
+
+class DataDeps:
+    """The ternary dependency relation ``↝ ⊆ C × L̂ × C``, stored per
+    location id as ``src → (dst, ...)`` adjacency (int tuples give the
+    garbage collector nothing to trace). The node-pair views the engines
+    read (``out_edges``/``in_edges``) are built on first read and dropped
+    on ``add``/``remove``."""
+
+    def __init__(self, table: LocTable | None = None) -> None:
+        self.table = table if table is not None else LocTable()
+        self._adj: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
+        self._views: tuple[dict, dict] | None = None
 
     def add(self, src: int, dst: int, loc: AbsLoc) -> None:
-        locs = self._out.setdefault(src, {}).setdefault(dst, set())
-        if loc not in locs:
-            locs.add(loc)
-            self._in.setdefault(dst, {}).setdefault(src, set()).add(loc)
-            self._count += 1
+        _link(self._adj[self.table.intern(loc)], src, dst)
+        self._views = None
 
     def remove(self, src: int, dst: int, loc: AbsLoc) -> None:
-        try:
-            self._out[src][dst].remove(loc)
-            self._in[dst][src].remove(loc)
-            self._count -= 1
-        except KeyError:
-            return
-        if not self._out[src][dst]:
-            del self._out[src][dst]
-            del self._in[dst][src]
+        if self.has(src, dst, loc):
+            by_src = self._adj[self.table.index[loc]]
+            by_src[src] = tuple(d for d in by_src[src] if d != dst)
+            self._views = None
 
     def has(self, src: int, dst: int, loc: AbsLoc) -> bool:
-        return loc in self._out.get(src, {}).get(dst, ())
+        return dst in self._adj.get(self.table.index.get(loc), {}).get(src, ())
 
-    def out_edges(self, src: int) -> list[tuple[int, frozenset[AbsLoc]]]:
-        return [
-            (dst, frozenset(locs)) for dst, locs in self._out.get(src, {}).items()
-        ]
+    def out_edges(self, src: int) -> Sequence[tuple[int, frozenset[AbsLoc]]]:
+        return self._edge_views()[0].get(src, ())
 
-    def in_edges(self, dst: int) -> list[tuple[int, frozenset[AbsLoc]]]:
-        return [
-            (src, frozenset(locs)) for src, locs in self._in.get(dst, {}).items()
-        ]
+    def in_edges(self, dst: int) -> Sequence[tuple[int, frozenset[AbsLoc]]]:
+        return self._edge_views()[1].get(dst, ())
+
+    def _edge_views(self) -> tuple[dict, dict]:
+        if self._views is None:
+            rows: defaultdict[int, defaultdict[int, list]] = defaultdict(
+                lambda: defaultdict(list)
+            )
+            by_id = list(self.table.index)
+            for loc_id, by_src in self._adj.items():
+                loc = by_id[loc_id]
+                for src, dsts in by_src.items():
+                    row = rows[src]
+                    for dst in dsts:
+                        row[dst].append(loc)
+            out: dict[int, list] = {}
+            into: defaultdict[int, list] = defaultdict(list)
+            for src, row in rows.items():
+                out[src] = [(dst, frozenset(locs)) for dst, locs in row.items()]
+                for dst, locs in out[src]:
+                    into[dst].append((src, locs))
+            self._views = (out, dict(into))
+        return self._views
 
     def triples(self) -> Iterator[tuple[int, int, AbsLoc]]:
-        for src, by_dst in self._out.items():
-            for dst, locs in by_dst.items():
-                for loc in locs:
+        by_id = list(self.table.index)
+        for loc_id, by_src in self._adj.items():
+            loc = by_id[loc_id]
+            for src, dsts in by_src.items():
+                for dst in dsts:
                     yield src, dst, loc
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(d) for by_src in self._adj.values() for d in by_src.values())
 
     def node_succs(self) -> dict[int, list[int]]:
         """Projection to a plain node graph (for widening-point detection)."""
-        return {src: list(by_dst.keys()) for src, by_dst in self._out.items()}
-
-    def all_locations(self) -> set[AbsLoc]:
-        out: set[AbsLoc] = set()
-        for _src, _dst, loc in self.triples():
-            out.add(loc)
-        return out
+        return {
+            src: [dst for dst, _ in edges]
+            for src, edges in self._edge_views()[0].items()
+        }
 
 
 @dataclass
 class AugmentedDefUse:
-    """Per-node D̂/Û augmented with the Section 5 procedure summaries."""
+    """Per-node D̂/Û augmented with the Section 5 procedure summaries, as
+    location ids of the generation's :class:`LocTable`."""
 
-    defs: dict[int, set[AbsLoc]] = field(default_factory=dict)
-    uses: dict[int, set[AbsLoc]] = field(default_factory=dict)
+    defs: dict[int, frozenset[int]] = field(default_factory=dict)
+    uses: dict[int, frozenset[int]] = field(default_factory=dict)
     #: per-node uses satisfied *only* by interprocedural edges (callee
     #: exit → retbind); the intraprocedural chain generators must not
     #: connect a caller-side reaching definition to them, or the sparse
     #: engine would join the stale pre-call value with the callee's
     #: result — the dense engines route the whole state through the
     #: callee, never around it
-    routed: dict[int, set[AbsLoc]] = field(default_factory=dict)
+    routed: dict[int, frozenset[int]] = field(default_factory=dict)
+
+
+def _grow(sets: dict[int, frozenset[int]], nid: int, extra: frozenset[int]) -> None:
+    if extra:
+        sets[nid] = sets.get(nid, _EMPTY) | extra
+
+
+def _callee_summary(defuse: DefUseInfo, ids, callees: tuple[str, ...]):
+    """``(uses, defs, bypass_needed, routed)`` of one call site's callees."""
+    if not callees:
+        return _EMPTY, _EMPTY, _EMPTY, _EMPTY
+    uses = [ids(defuse.proc_uses_trans.get(k, _EMPTY)) for k in callees]
+    defs = [ids(defuse.proc_defs_trans.get(k, _EMPTY)) for k in callees]
+    all_defs = _EMPTY.union(*defs)
+    # Locations every callee routes through its body (kills on all paths,
+    # or reads so the value travels the callee's own chains). Any other
+    # callee definition leaves the pre-call value alive around the call, so
+    # the return site must also *use* it. A location every callee defines
+    # and routes is carried by the callee-exit edge alone: chaining the
+    # caller-side definition too would re-introduce the stale pre-call
+    # value (for octagon packs, the call's parameter binding *defines* a
+    # pack the callee refines; joining both loses the refinement).
+    through = frozenset.intersection(
+        *(ids(defuse.proc_must_defs.get(k, _EMPTY)) | u for k, u in zip(callees, uses))
+    )
+    bypass_needed = all_defs - through
+    routed = frozenset.intersection(*defs) & through
+    return _EMPTY.union(*uses), all_defs, bypass_needed, routed
 
 
 def augment_defuse(
     program: Program,
     pre: PreAnalysis,
     defuse: DefUseInfo,
+    table: LocTable,
 ) -> AugmentedDefUse:
     """Fold callee summaries into call/return/entry/exit nodes."""
+    ids = table.ids
     aug = AugmentedDefUse(
-        defs={nid: set(s) for nid, s in defuse.defs.items()},
-        uses={nid: set(s) for nid, s in defuse.uses.items()},
+        defs={nid: ids(s) for nid, s in defuse.defs.items()},
+        uses={nid: ids(s) for nid, s in defuse.uses.items()},
     )
+    summary = functools.cache(lambda callees: _callee_summary(defuse, ids, callees))
+
     for proc, cfg in program.cfgs.items():
-        body_uses = defuse.proc_uses_trans.get(proc, frozenset())
-        body_defs = defuse.proc_defs_trans.get(proc, frozenset())
         if cfg.entry is not None:
-            aug.defs.setdefault(cfg.entry.nid, set()).update(body_uses)
+            _grow(aug.defs, cfg.entry.nid,
+                  ids(defuse.proc_uses_trans.get(proc, _EMPTY)))
         if cfg.exit is not None:
-            aug.uses.setdefault(cfg.exit.nid, set()).update(body_defs)
+            _grow(aug.uses, cfg.exit.nid,
+                  ids(defuse.proc_defs_trans.get(proc, _EMPTY)))
         for node in cfg.nodes:
             if isinstance(node.cmd, CCall):
-                for callee in pre.site_callees.get(node.nid, ()):
-                    aug.uses.setdefault(node.nid, set()).update(
-                        defuse.proc_uses_trans.get(callee, frozenset())
-                    )
+                uses = summary(pre.site_callees.get(node.nid, ()))[0]
+                _grow(aug.uses, node.nid, uses)
             elif isinstance(node.cmd, CRetBind):
-                call_node = program.node(node.cmd.call_node)
-                callees = pre.site_callees.get(call_node.nid, ())
-                all_defs: set[AbsLoc] = set()
-                for callee in callees:
-                    all_defs |= defuse.proc_defs_trans.get(callee, frozenset())
-                aug.defs.setdefault(node.nid, set()).update(all_defs)
-                # A location must additionally be *used* at the return site
-                # when some callee neither kills it on every path (must-def)
-                # nor carries the caller's value through its body (use):
-                # then the pre-call value survives around the call and must
-                # flow to later uses via this node.
-                bypass_needed = {
-                    loc
-                    for loc in all_defs
-                    if any(
-                        loc not in defuse.proc_must_defs.get(k, frozenset())
-                        and loc not in defuse.proc_uses_trans.get(k, frozenset())
-                        for k in callees
-                    )
-                }
-                aug.uses.setdefault(node.nid, set()).update(bypass_needed)
-                # The complementary case: every callee routes the location
-                # through its body (kills it on all paths, or reads it so
-                # its value travels the callee's own chains to the exit).
-                # The callee-exit edge then carries everything the return
-                # site needs; chaining the caller-side definition here too
-                # would re-introduce the stale pre-call value. This matters
-                # for pack-granular (octagon) dependencies, where the call
-                # node's parameter binding *defines* a pack the callee then
-                # refines — joining both versions loses the refinement.
-                routed = {
-                    loc
-                    for loc in all_defs
-                    if callees
-                    and all(
-                        loc in defuse.proc_defs_trans.get(k, frozenset())
-                        and (
-                            loc in defuse.proc_must_defs.get(k, frozenset())
-                            or loc
-                            in defuse.proc_uses_trans.get(k, frozenset())
-                        )
-                        for k in callees
-                    )
-                }
-                if routed:
-                    aug.routed.setdefault(node.nid, set()).update(routed)
+                _, defs, bypass_needed, routed = summary(
+                    pre.site_callees.get(node.cmd.call_node, ())
+                )
+                _grow(aug.defs, node.nid, defs)
+                _grow(aug.uses, node.nid, bypass_needed)
+                _grow(aug.routed, node.nid, routed)
     return aug
 
 
@@ -207,62 +248,50 @@ def _ssa_chains(
     """
     assert cfg.entry is not None
     dom = compute_dominators(cfg.entry.nid, cfg.succs, cfg.preds)
-    reachable = set(dom.rpo)
 
-    defs_of_loc: dict[AbsLoc, set[int]] = {}
-    for nid in reachable:
+    defs_of_loc: defaultdict[int, set[int]] = defaultdict(set)
+    for nid in dom.rpo:
         for loc in aug.defs.get(nid, ()):
-            defs_of_loc.setdefault(loc, set()).add(nid)
+            defs_of_loc[loc].add(nid)
 
-    phis: dict[int, set[AbsLoc]] = {nid: set() for nid in reachable}
+    phis: dict[int, set[int]] = {nid: set() for nid in dom.rpo}
     for loc, def_sites in defs_of_loc.items():
         for site in iterated_frontier(dom, def_sites):
             phis[site].add(loc)
 
-    stacks: dict[AbsLoc, list[int]] = {}
+    adj = deps._adj
+    stacks: defaultdict[int, list[int]] = defaultdict(list)
 
     # Iterative preorder walk over the dominator tree with explicit
-    # push/pop bookkeeping (Cytron renaming).
-    work: list[tuple[int, bool]] = [(cfg.entry.nid, False)]
+    # push/pop bookkeeping (Cytron renaming); a visited node's entry
+    # carries the definitions to pop.
+    work: list[tuple[int, frozenset[int] | None]] = [(cfg.entry.nid, None)]
     while work:
-        nid, done = work.pop()
-        if done:
-            for loc in _node_defs(aug, phis, nid):
+        nid, pushed = work.pop()
+        if pushed is not None:
+            for loc in pushed:
                 stacks[loc].pop()
             continue
-        node_phis = phis.get(nid, set())
-        node_routed = aug.routed.get(nid, ())
-        for loc in aug.uses.get(nid, ()):  # ordinary uses
-            if loc in node_phis:
-                continue  # satisfied by the phi (incoming dep edges)
-            if loc in node_routed:
-                continue  # satisfied by the callee-exit edge alone
+        node_phis = phis[nid]
+        # uses satisfied by the phi (incoming dep edges) or by the
+        # callee-exit edge alone get no intraprocedural chain
+        for loc in aug.uses.get(nid, _EMPTY).difference(
+            node_phis, aug.routed.get(nid, ())
+        ):
             stack = stacks.get(loc)
             if stack:
-                deps.add(stack[-1], nid, loc)
-        for loc in _node_defs(aug, phis, nid):
-            stacks.setdefault(loc, []).append(nid)
+                _link(adj[loc], stack[-1], nid)
+        node_defs = aug.defs.get(nid, _EMPTY).union(node_phis)
+        for loc in node_defs:
+            stacks[loc].append(nid)
         for succ in cfg.succs.get(nid, ()):
             for loc in phis.get(succ, ()):
                 stack = stacks.get(loc)
                 if stack:
-                    deps.add(stack[-1], succ, loc)
-        work.append((nid, True))
+                    _link(adj[loc], stack[-1], succ)
+        work.append((nid, node_defs))
         for child in reversed(dom.children.get(nid, [])):
-            work.append((child, False))
-
-    # Phi locations behave as simultaneous def+use so downstream safety
-    # condition D̂−D ⊆ Û holds; record them in the augmented sets.
-    for nid, locs in phis.items():
-        if locs:
-            aug.defs.setdefault(nid, set()).update(locs)
-            aug.uses.setdefault(nid, set()).update(locs)
-
-
-def _node_defs(
-    aug: AugmentedDefUse, phis: dict[int, set[AbsLoc]], nid: int
-) -> set[AbsLoc]:
-    return aug.defs.get(nid, set()) | phis.get(nid, set())
+            work.append((child, None))
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +305,7 @@ def _reaching_chains(
     """Reference generator: classic reaching-definitions dataflow, one
     location at a time. Used to cross-check the SSA generator."""
     assert cfg.entry is not None
-    locs: set[AbsLoc] = set()
+    locs: set[int] = set()
     for nid in cfg.succs:
         locs.update(aug.defs.get(nid, ()))
         locs.update(aug.uses.get(nid, ()))
@@ -285,7 +314,7 @@ def _reaching_chains(
 
 
 def _reaching_one(
-    cfg: ProcCFG, aug: AugmentedDefUse, deps: DataDeps, loc: AbsLoc
+    cfg: ProcCFG, aug: AugmentedDefUse, deps: DataDeps, loc: int
 ) -> None:
     # IN[n] = set of definition nodes of `loc` reaching n.
     in_sets: dict[int, set[int]] = {nid: set() for nid in cfg.succs}
@@ -302,11 +331,9 @@ def _reaching_one(
                     queued.add(succ)
                     work.append(succ)
     for nid in cfg.succs:
-        if loc in aug.uses.get(nid, ()) and loc not in aug.routed.get(
-            nid, ()
-        ):
+        if loc in aug.uses.get(nid, ()) and loc not in aug.routed.get(nid, ()):
             for d in in_sets[nid]:
-                deps.add(d, nid, loc)
+                _link(deps._adj[loc], d, nid)
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +347,7 @@ def _add_interproc_edges(
     defuse: DefUseInfo,
     deps: DataDeps,
 ) -> None:
+    ids, adj = deps.table.ids, deps._adj
     for node in program.nodes():
         if not isinstance(node.cmd, CCall):
             continue
@@ -335,101 +363,142 @@ def _add_interproc_edges(
         for callee in pre.site_callees.get(node.nid, ()):
             callee_cfg = program.cfgs[callee]
             if callee_cfg.entry is not None:
-                for loc in defuse.proc_uses_trans.get(callee, frozenset()):
-                    deps.add(node.nid, callee_cfg.entry.nid, loc)
+                for loc in ids(defuse.proc_uses_trans.get(callee, _EMPTY)):
+                    _link(adj[loc], node.nid, callee_cfg.entry.nid)
             if callee_cfg.exit is not None and retbind is not None:
-                for loc in defuse.proc_defs_trans.get(callee, frozenset()):
-                    deps.add(callee_cfg.exit.nid, retbind, loc)
+                for loc in ids(defuse.proc_defs_trans.get(callee, _EMPTY)):
+                    _link(adj[loc], callee_cfg.exit.nid, retbind)
 
 
 def bypass_optimization(
     deps: DataDeps, defuse: DefUseInfo, keep: set[int] | None = None
 ) -> DataDeps:
     """Rewrite ``a—l→b—l→c`` into ``a—l→c`` whenever ``l`` is neither
-    really defined nor used at ``b`` (Section 5), iterated to convergence.
-
-    Implemented as a per-location graph closure: the final relation
-    connects real definitions to real uses through pass-through-only
-    interiors. Equivalent to the paper's pairwise rewriting but runs in one
-    pass per location. Nodes in ``keep`` (widening points) are never
-    bypassed — values must keep flowing through them so the sparse engine
-    widens exactly where the dense one does.
+    really defined nor used at ``b`` (Section 5), to convergence — computed
+    per location by :func:`_resolve`. Nodes in ``keep`` (widening points)
+    are never bypassed: values must keep flowing through them so the
+    sparse engine widens exactly where the dense one does.
     """
-    keep = keep or set()
-    by_loc: dict[AbsLoc, list[tuple[int, int]]] = {}
-    for src, dst, loc in deps.triples():
-        by_loc.setdefault(loc, []).append((src, dst))
+    keep = set(keep or ())
+    ids = deps.table.ids
+    real_at: dict[int, set[int]] = {}
+    for nid in defuse.defs.keys() | defuse.uses.keys():
+        for loc in ids(defuse.d(nid)) | ids(defuse.u(nid)):
+            real_at.setdefault(loc, set()).add(nid)
+    out = DataDeps(deps.table)
+    for loc, succs in deps._adj.items():
+        resolved = _resolve(succs, keep.union(real_at.get(loc, ())))
+        if resolved:
+            out._adj[loc] = resolved
+    return out
 
-    out = DataDeps()
-    for loc, edges in by_loc.items():
-        succs: dict[int, list[int]] = {}
-        for src, dst in edges:
-            succs.setdefault(src, []).append(dst)
 
-        def is_passthrough(nid: int) -> bool:
-            if nid in keep:
-                return False
-            return loc not in defuse.d(nid) and loc not in defuse.u(nid)
+def _resolve(
+    succs: dict[int, tuple[int, ...]], real: set[int]
+) -> dict[int, tuple[int, ...]]:
+    """One location's bypassed adjacency: every pass-through target of a
+    real source is replaced by the real nodes it reaches. ``reach``
+    memoizes those per pass-through node; an iterative Tarjan walk fills
+    it, so a strongly connected pass-through region shares one set."""
+    reach: dict[int, set[int]] = {}
+    index: dict[int, int] = {}  # Tarjan preorder numbers
+    stack: list[int] = []  # visited nodes whose region is still open
 
-        sources = {src for src, _dst in edges if not is_passthrough(src)}
-        for source in sources:
-            seen: set[int] = set()
-            stack = list(succs.get(source, ()))
-            while stack:
-                nid = stack.pop()
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                if is_passthrough(nid):
-                    stack.extend(succs.get(nid, ()))
+    def through(root: int) -> set[int]:
+        # one frame per open node: [node, successor iterator, low, acc]
+        index[root] = len(index)
+        stack.append(root)
+        frames = [[root, iter(succs.get(root, ())), index[root], set()]]
+        while frames:
+            frame = frames[-1]
+            acc = frame[3]
+            for dst in frame[1]:
+                if dst in real:
+                    acc.add(dst)
+                elif dst in reach:
+                    acc |= reach[dst]
+                elif dst in index:  # open, so in the same region
+                    if index[dst] < frame[2]:
+                        frame[2] = index[dst]
                 else:
-                    out.add(source, nid, loc)
+                    index[dst] = len(index)
+                    stack.append(dst)
+                    frames.append([dst, iter(succs.get(dst, ())), index[dst], set()])
+                    break
+            else:
+                frames.pop()
+                nid, _, low, acc = frame
+                if low == index[nid]:  # nid roots its region: close it
+                    while True:
+                        member = stack.pop()
+                        reach[member] = acc
+                        if member == nid:
+                            break
+                if frames:
+                    parent = frames[-1]
+                    if low < parent[2]:
+                        parent[2] = low
+                    parent[3] |= acc
+        return reach[root]
+
+    out: dict[int, tuple[int, ...]] = {}
+    for src, dsts in succs.items():
+        if src not in real:
+            continue
+        if real.issuperset(dsts):
+            out[src] = dsts
+            continue
+        found: set[int] = set()
+        for dst in dsts:
+            if dst in real:
+                found.add(dst)
+            else:
+                found |= reach[dst] if dst in reach else through(dst)
+        if found:
+            out[src] = tuple(found)
     return out
 
 
 def bypass_optimization_naive(
     deps: DataDeps, defuse: DefUseInfo, keep: set[int] | None = None
 ) -> DataDeps:
-    """The paper's literal pairwise rewriting, iterated until convergence.
-    Kept as a reference for tests and the ablation benchmark."""
+    """The paper's pairwise rewriting, saturated: each ``a—l→b—l→c`` with
+    ``b`` pass-through adds ``a—l→c`` until nothing changes; then edges
+    touching pass-through nodes are dropped. (Removing ``a—l→b`` at each
+    step never converges around a pass-through cycle, which recursion
+    creates even between widening points.) The reference for the tests
+    and ``bench_bypass``."""
     keep = keep or set()
 
     def is_real(nid: int, loc: AbsLoc) -> bool:
         return nid in keep or loc in defuse.d(nid) or loc in defuse.u(nid)
 
-    current = DataDeps()
+    succs: dict[tuple[int, AbsLoc], set[int]] = {}
     for src, dst, loc in deps.triples():
-        current.add(src, dst, loc)
+        succs.setdefault((src, loc), set()).add(dst)
     changed = True
     while changed:
         changed = False
-        for src, dst, loc in list(current.triples()):
-            if is_real(dst, loc):
-                continue
-            outs = [
-                dst2
-                for dst2, locs in current.out_edges(dst)
-                if loc in locs
-            ]
-            if not outs:
-                continue
-            current.remove(src, dst, loc)
-            for dst2 in outs:
-                if not current.has(src, dst2, loc):
-                    current.add(src, dst2, loc)
-            changed = True
-    # Drop edges that start or end at pure pass-through nodes (no real
-    # def/use survives there after rewriting).
+        for (_src, loc), dsts in succs.items():
+            for dst in list(dsts):
+                if is_real(dst, loc):
+                    continue
+                new = succs.get((dst, loc), set()) - dsts
+                if new:
+                    dsts |= new
+                    changed = True
     cleaned = DataDeps()
-    for src, dst, loc in current.triples():
-        if is_real(src, loc) and is_real(dst, loc):
-            cleaned.add(src, dst, loc)
+    for (src, loc), dsts in succs.items():
+        for dst in dsts:
+            if is_real(src, loc) and is_real(dst, loc):
+                cleaned.add(src, dst, loc)
     return cleaned
 
 
 @dataclass
 class DataDepResult:
-    """Generated dependencies plus the augmented def/use view."""
+    """Generated dependencies plus the augmented def/use view (location
+    ids of ``deps.table``)."""
 
     deps: DataDeps
     aug: AugmentedDefUse
@@ -454,19 +523,17 @@ def generate_datadeps(
     dense engine — preserving precision *including* widening behaviour.
     """
     wps = widening_points or set()
-    aug = augment_defuse(program, pre, defuse)
     deps = DataDeps()
+    aug = augment_defuse(program, pre, defuse, deps.table)
     for cfg in program.cfgs.values():
         if cfg.entry is None:
             continue
         proc_wps = [n.nid for n in cfg.nodes if n.nid in wps]
         if proc_wps:
-            proc_locs: set[AbsLoc] = set()
-            for node in cfg.nodes:
-                proc_locs.update(aug.defs.get(node.nid, ()))
+            proc_locs = _EMPTY.union(*(aug.defs.get(n.nid, ()) for n in cfg.nodes))
             for wp in proc_wps:
-                aug.defs.setdefault(wp, set()).update(proc_locs)
-                aug.uses.setdefault(wp, set()).update(proc_locs)
+                _grow(aug.defs, wp, proc_locs)
+                _grow(aug.uses, wp, proc_locs)
         if method == "ssa":
             _ssa_chains(cfg, aug, deps)
         elif method == "reaching":
@@ -477,6 +544,7 @@ def generate_datadeps(
     raw = len(deps)
     if bypass:
         deps = bypass_optimization(deps, defuse, keep=wps)
+    deps.table.sets.clear()  # the converted sets only serve construction
     if telemetry is not None and telemetry.enabled:
         telemetry.count("dep.generated", raw)
         telemetry.count("dep.bypassed", raw - len(deps))

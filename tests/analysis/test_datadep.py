@@ -1,6 +1,8 @@
 """Data-dependency generation: SSA vs reaching-defs, interprocedural edges,
 and the bypass optimization."""
 
+import os
+
 import pytest
 
 from repro.analysis.datadep import (
@@ -9,10 +11,19 @@ from repro.analysis.datadep import (
     bypass_optimization_naive,
     generate_datadeps,
 )
-from repro.analysis.defuse import compute_defuse
+from repro.analysis.defuse import DefUseInfo, compute_defuse
+from repro.analysis.dense import build_interproc_graph
 from repro.analysis.preanalysis import run_preanalysis
+from repro.analysis.relational import RelContext, compute_rel_defuse
+from repro.analysis.schedule import GraphView, widening_points_for
+from repro.bench.codegen import WorkloadSpec, generate_source
 from repro.domains.absloc import RetLoc, VarLoc
+from repro.domains.packs import build_packs
 from repro.ir.program import build_program
+
+#: random programs for the closure ≡ naive property (REPRO_FUZZ_SEEDS
+#: sets the budget, as for the fuzz suites)
+N_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "10"))
 
 
 def setup(src):
@@ -257,10 +268,66 @@ class TestBypassOptimization:
         d.add(1, 2, x)
         d.add(2, 3, x)
         # with an empty defuse, node 2 is pure pass-through
-        from repro.analysis.defuse import DefUseInfo
-
         du = DefUseInfo(defs={1: frozenset({x})}, uses={3: frozenset({x})})
         collapsed = bypass_optimization(d, du)
         assert collapsed.has(1, 3, x) and not collapsed.has(1, 2, x)
         kept = bypass_optimization(d, du, keep={2})
         assert kept.has(1, 2, x) and kept.has(2, 3, x)
+
+    def test_pass_through_cycle_shares_one_reach_set(self):
+        """Nodes 2 and 3 relay x around a cycle (recursion produces this
+        shape even between widening points); both real sources reach both
+        real uses, whichever node of the cycle they enter by."""
+        x = VarLoc("x")
+        d = DataDeps()
+        for src, dst in [(1, 2), (2, 2), (2, 3), (3, 2), (3, 4), (2, 5), (6, 3)]:
+            d.add(src, dst, x)
+        du = DefUseInfo(
+            defs={1: frozenset({x}), 6: frozenset({x})},
+            uses={4: frozenset({x}), 5: frozenset({x})},
+        )
+        out = bypass_optimization(d, du)
+        assert set(out.triples()) == {(s, u, x) for s in (1, 6) for u in (4, 5)}
+
+
+def _loopy_spec(seed: int) -> WorkloadSpec:
+    """A small program with loops, shared callees and a recursion cycle,
+    so the control graph has real widening points."""
+    return WorkloadSpec(
+        name=f"bypass{seed}",
+        n_functions=5,
+        n_globals=3,
+        n_arrays=1,
+        array_len=8,
+        stmts_per_function=5,
+        loops_per_function=1,
+        calls_per_function=2,
+        recursion_cycle=2 + seed % 2,
+        funcptr_sites=seed % 2,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("domain", ["interval", "octagon"])
+@pytest.mark.parametrize("seed", [11 * i + 3 for i in range(N_SEEDS)])
+def test_closure_equals_naive_with_widening_points(seed, domain):
+    """The memoized closure and the saturated pairwise rewriting build the
+    same relation on loopy, recursive programs, with the real widening
+    points of the control graph as ``keep``."""
+    program = build_program(generate_source(_loopy_spec(seed)))
+    pre = run_preanalysis(program)
+    graph = build_interproc_graph(program, pre.site_callees, localized=False)
+    _wto, wps = widening_points_for(
+        GraphView((program.entry_node().nid,), graph.succs)
+    )
+    assert wps, "the program should have loops or recursion"
+    if domain == "interval":
+        du = compute_defuse(program, pre)
+    else:
+        ctx = RelContext(program, pre, build_packs(program))
+        du = compute_rel_defuse(program, pre, ctx)
+    raw = generate_datadeps(program, pre, du, bypass=False, widening_points=wps).deps
+    fast = bypass_optimization(raw, du, keep=wps)
+    slow = bypass_optimization_naive(raw, du, keep=wps)
+    assert set(fast.triples()) == set(slow.triples())
+    assert len(fast) < len(raw)
