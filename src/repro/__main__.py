@@ -76,7 +76,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "inline": args.inline,
         "scheduler": args.scheduler,
         "strict_frontend": args.strict_frontend,
-        "jobs": args.jobs,
     }
     if args.narrow:
         options["narrowing_passes"] = args.narrow
@@ -412,12 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_analyze.add_argument("--stats", action="store_true")
     p_analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="solve the whole-program fixpoint over SCC shards with N "
-        "worker processes (N > 1; tables are byte-identical to the "
-        "sequential engines)",
-    )
-    p_analyze.add_argument(
         "--metrics", action="store_true",
         help="print a Table-2-style per-phase report (frontend, "
         "pre-analysis, dep-gen, fixpoint, narrowing, checkers) with "
@@ -696,8 +689,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_one_line_diagnostic(exc), file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
-        # Option conflicts (e.g. --jobs with an incompatible knob) are user
-        # errors, not internal bugs.
+        # Invalid option values (e.g. batch --jobs 0) are user errors, not
+        # internal bugs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:

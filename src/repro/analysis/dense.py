@@ -133,11 +133,11 @@ class EnginePlan:
     """Everything a fixpoint run needs, separated from the engine that will
     execute it. Each ``prepare_*`` function (here and in ``sparse.py`` /
     ``relational.py``) builds one plan per engine×domain combo; the
-    sequential ``run_*`` drivers and the SCC-sharded driver
-    (:mod:`repro.analysis.shards`) then instantiate spaces and engines from
-    the *same* plan — identical graphs, transfers, WTO priorities, widening
-    points, and thresholds — which is what makes the sharded fixpoint
-    comparable to the sequential one structure for structure."""
+    ``run_*`` drivers and serve's cone solving
+    (:mod:`repro.analysis.incremental`) then instantiate spaces and engines
+    from the *same* plan — identical graphs, transfers, WTO priorities,
+    widening points, and thresholds — which is what makes a cone solve
+    comparable to the whole-program one structure for structure."""
 
     program: Program
     pre: PreAnalysis
@@ -176,15 +176,8 @@ class EnginePlan:
     def sparse(self) -> bool:
         return self.mode == "sparse"
 
-    def edge_transform_for(self, get_table):
-        if self.make_edge_transform is None:
-            return None
-        return self.make_edge_transform(get_table)
-
     def make_program_space(self, get_table=None):
-        """The whole-program propagation space this plan describes (shard
-        spaces are built by :mod:`repro.analysis.shards` from the same
-        ingredients)."""
+        """The whole-program propagation space this plan describes."""
         if self.sparse:
             return DepGraphSpace(
                 self.deps,
@@ -194,11 +187,14 @@ class EnginePlan:
                 entry=self.entry_nid,
                 strict=self.strict,
             )
+        edge_transform = None
+        if self.make_edge_transform is not None:
+            edge_transform = self.make_edge_transform(get_table)
         return CfgSpace(
             self.graph.succs,
             self.graph.preds,
             self.entries,
-            edge_transform=self.edge_transform_for(get_table),
+            edge_transform=edge_transform,
             roots=[self.entry_nid],
         )
 

@@ -343,6 +343,8 @@ def run_batch(
     ``backoff_base * backoff_factor**(k-1) * (1 + jitter*rng.random())``
     with a seeded PRNG, so batch schedules are reproducible.
     """
+    if max_workers is not None and max_workers < 1:
+        raise ValueError("max_workers must be >= 1")
     # the report's aggregate counters must exist even without a caller
     # registry, so the no-telemetry default is a private enabled one
     tel = Telemetry(enabled=True) if telemetry is None else Telemetry.coerce(telemetry)

@@ -8,10 +8,10 @@ must agree with :class:`ScalarAbsState` on all of them, including when the
 two backends are mixed in one operation (checkpoint resume can do that).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.domains.absloc import AllocLoc, FieldLoc, RetLoc, VarLoc
+from repro.domains.absloc import AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc
 from repro.domains.interval import Interval
 from repro.domains.state import (
     AbsState,
@@ -20,8 +20,50 @@ from repro.domains.state import (
     set_store_backend,
     store_backend,
 )
-from repro.domains.value import AbsValue, intern_value
+from repro.domains.value import AbsValue, ArrayBlock, intern_value
 from repro.runtime.checkpoint import state_from_wire, state_to_wire
+
+# -- payload side-table values -----------------------------------------------
+
+
+def _block() -> ArrayBlock:
+    return ArrayBlock(
+        base=AllocLoc("buf@12"),
+        offset=Interval.range(0, 7),
+        size=Interval.const(32),
+    )
+
+
+def _payload_values() -> dict[str, AbsValue]:
+    """Values the array backend's int64 rows cannot represent — each one
+    must take the payload side-table path."""
+    return {
+        "pointers": AbsValue.of_locs(
+            frozenset({VarLoc("p", "main"), AllocLoc("node@3"), FuncLoc("cb")})
+        ),
+        "array_block": AbsValue.of_block(_block()),
+        "huge_bound": AbsValue.of_interval(Interval.const(1 << 62)),
+        "neg_out_of_range": AbsValue.of_interval(
+            Interval.range(-(1 << 70), -(1 << 62))
+        ),
+        "mixed": AbsValue(
+            itv=Interval.range(-3, 1 << 63),
+            ptsto=frozenset({FuncLoc("handler")}),
+            arrays=(_block(),),
+        ),
+    }
+
+
+def _payload_mapping() -> dict:
+    mapping = {
+        VarLoc(f"v{idx}", "f"): value
+        for idx, value in enumerate(_payload_values().values())
+    }
+    # a plain row-representable entry alongside, so decoding exercises
+    # both storage paths in one state
+    mapping[VarLoc("plain", "f")] = AbsValue.of_interval(Interval.range(0, 9))
+    return mapping
+
 
 # -- strategies ---------------------------------------------------------------
 
@@ -245,6 +287,7 @@ def test_weak_set_and_update_locs_match(a, b):
 
 
 @given(loc_maps())
+@example(_payload_mapping())
 def test_wire_round_trip_is_backend_independent(mapping):
     arr, sca = _pairs(mapping)
     wire_arr = state_to_wire(arr)
@@ -252,6 +295,20 @@ def test_wire_round_trip_is_backend_independent(mapping):
     assert wire_arr == wire_sca
     decoded = state_from_wire(wire_arr)
     _assert_same(_mk(ArrayAbsState, _table(decoded)), sca)
+
+
+def test_values_land_in_payload_table():
+    """White-box: the payload values really do take the side-table path
+    (otherwise the round-trip example above would not cover it)."""
+    previous = set_store_backend("array")
+    try:
+        state = AbsState()
+        assert isinstance(state, ArrayAbsState)
+        for idx, value in enumerate(_payload_values().values()):
+            state.set(VarLoc(f"v{idx}", "f"), value)
+        assert len(state._payload) == len(_payload_values())
+    finally:
+        set_store_backend(previous)
 
 
 # -- backend selection --------------------------------------------------------

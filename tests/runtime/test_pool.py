@@ -59,6 +59,13 @@ class TestHealthyBatch:
         assert outcome.status == "ok" and outcome.alarms > 0
         assert report.exit_code == 1
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, ckpt_dir, workers):
+        # no worker could ever launch, so the poll loop would spin forever
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            run_batch([_job(LOOPS)], ckpt_dir, max_workers=workers)
+        assert not os.path.exists(ckpt_dir)
+
 
 class TestCrashRecovery:
     def test_killed_workers_resume_from_checkpoint(self, ckpt_dir):

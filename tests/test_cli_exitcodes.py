@@ -119,6 +119,16 @@ class TestExitCodes:
         assert data["exit_code"] == 1
         assert {j["label"] for j in data["jobs"]} == {"ok"}
 
+    def test_batch_zero_jobs_exits_2(self, clean_file, tmp_path):
+        proc = _run(
+            [
+                "batch", clean_file, "--jobs", "0",
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+            ]
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: max_workers must be >= 1\n"
+
 
 class TestSignalExit:
     def _slow_source(self, tmp_path):
