@@ -381,8 +381,7 @@ class IntervalCells(CellOps):
         return out.copy()
 
     def push(self, cache, touched, out) -> bool:
-        # the array backend joins plain bound rows without materializing
-        # AbsValues; the scalar backend runs the historical per-loc loop
+        # joins plain bound rows without materializing AbsValues
         return cache.join_entries_from(out, touched)
 
     def assemble(self, in_edges, table) -> AbsState:

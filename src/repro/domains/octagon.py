@@ -21,7 +21,6 @@ are small (packs are capped at ~10 variables) so numpy ``float64`` with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,31 +38,14 @@ INF = np.inf
 # entries stay at +∞/0. Restricting closure, leq, join and widen to the
 # *support* (variables with at least one finite off-diagonal entry) is
 # therefore byte-identical to the dense Miné path while cutting the O(n³)
-# closure to O(s³). The dense path remains both a fallback when density
-# crosses the threshold and an oracle for the differential tests.
+# closure to O(s³). The dense path remains the fallback when density
+# crosses the threshold; the differential tests patch ``_SPARSE_ENABLED``
+# off to use it as the oracle.
 
-_SPARSE_ENABLED = os.environ.get("REPRO_OCT_CLOSURE", "").strip().lower() != "dense"
+_SPARSE_ENABLED = True
 #: fall back to the dense path once support/dim exceeds this fraction —
 #: near-dense packs gain nothing from gathering a submatrix
 _SPARSE_THRESHOLD = 0.9
-
-
-def set_sparse_closure(
-    enabled: bool | None = None, threshold: float | None = None
-) -> tuple[bool, float]:
-    """Toggle the sparsity-preserving octagon paths (A/B + test knob).
-    Returns the previous ``(enabled, threshold)`` pair."""
-    global _SPARSE_ENABLED, _SPARSE_THRESHOLD
-    previous = (_SPARSE_ENABLED, _SPARSE_THRESHOLD)
-    if enabled is not None:
-        _SPARSE_ENABLED = bool(enabled)
-    if threshold is not None:
-        _SPARSE_THRESHOLD = float(threshold)
-    return previous
-
-
-def sparse_closure_enabled() -> bool:
-    return _SPARSE_ENABLED
 
 
 def _interleaved_pairs(support: np.ndarray) -> np.ndarray:

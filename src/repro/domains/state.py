@@ -4,34 +4,22 @@
 control point while joining copies across edges. ``join_with``/``widen_with``
 return whether anything changed, which drives worklist convergence.
 
-Two interchangeable storage backends implement the same API (DESIGN.md §13):
+The store is struct-of-arrays (DESIGN.md §13): locations are interned to
+dense int ids (:func:`repro.domains.absloc.loc_id`) and the numeric part of
+every value lives in two numpy ``int64`` bound vectors covering the state's
+id span. Whole-state join/widen/leq and their changed-set variants are
+vectorized numpy ops with boolean-mask change extraction; pointer/array-block
+values (and intervals whose bounds do not fit the int64 encoding) live in a
+per-state payload side table keyed by id and are merged value by value.
 
-* :class:`ArrayAbsState` (default) — struct-of-arrays: locations are
-  interned to dense int ids (:func:`repro.domains.absloc.loc_id`) and the
-  numeric part of every value lives in two numpy ``int64`` bound vectors
-  covering the state's id span. Whole-state join/widen/leq and their
-  changed-set variants are vectorized numpy ops with boolean-mask change
-  extraction; pointer/array-block values (and intervals whose bounds do not
-  fit the int64 encoding) live in a per-state payload side table keyed by
-  id and are merged by the scalar reference path.
-* :class:`ScalarAbsState` — the original dict-of-``AbsValue`` reference
-  implementation, kept selectable for A/B runs and as the oracle for the
-  property-based equivalence suite.
-
-Constructing ``AbsState(...)`` dispatches to the active backend, selected
-by the ``REPRO_STORE`` environment variable (``array``/``scalar``) or
-:func:`set_store_backend`; ``isinstance(state, AbsState)`` holds for both,
-so the checkpoint codecs and every engine keep working unchanged.
-
-Bound encoding of the array backend: a *present* row stores finite bounds
-``|b| < 2**62`` directly, ``lo = -2**62`` means −∞ and ``hi = +2**62``
-means +∞; an *absent* row (⊥) is the inverted sentinel pair ``lo > hi``,
-which makes ⊥ the identity of the vectorized min/max join with no masking.
+Bound encoding: a *present* row stores finite bounds ``|b| < 2**62``
+directly, ``lo = -2**62`` means −∞ and ``hi = +2**62`` means +∞; an
+*absent* row (⊥) is the inverted sentinel pair ``lo > hi``, which makes ⊥
+the identity of the vectorized min/max join with no masking.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -180,315 +168,6 @@ class AbsState:
     operations exploit that with ``is`` fast paths before falling back to
     structural comparison.
 
-    This base class dispatches construction to the active storage backend
-    and carries the backend-agnostic derived operations; the storage, the
-    hot lattice ops, and restriction live on the backends.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        if cls is AbsState:
-            cls = _ACTIVE
-        return object.__new__(cls)
-
-    # -- derived operations (backend-agnostic) ------------------------------
-
-    def weak_set(self, loc: AbsLoc, value: AbsValue) -> None:
-        """Weak update: join with the existing value (the paper's ``[l ↪w v]``)."""
-        self.set(loc, self.get(loc).join(value))
-
-    def update_locs(self, locs: Iterable[AbsLoc], value: AbsValue) -> None:
-        """The paper's store semantics: a strong update when the target is a
-        single non-summary location, a weak update otherwise. The common
-        single-location case is detected without materializing a list."""
-        it = iter(locs)
-        first = next(it, _NO_MORE)
-        if first is _NO_MORE:
-            return
-        second = next(it, _NO_MORE)
-        if second is _NO_MORE:
-            if first.is_summary():
-                self.weak_set(first, value)
-            else:
-                self.set(first, value)
-            return
-        self.weak_set(first, value)
-        self.weak_set(second, value)
-        for loc in it:
-            self.weak_set(loc, value)
-
-    def __bool__(self) -> bool:
-        # An empty state is a real state (everything ⊥), not "no state" —
-        # `if state:` must not silently mean `if len(state):`.
-        return True
-
-    def join(self, other: "AbsState") -> "AbsState":
-        out = self.copy()
-        out.join_with(other)
-        return out
-
-    def join_entries_from(self, other: "AbsState", locs: Iterable[AbsLoc]) -> bool:
-        """Join ``other``'s values for the given locations into this state;
-        True when this state grew — the sparse engines' per-dependency-edge
-        push primitive (see ``engine.IntervalCells.push``)."""
-        grew = False
-        for loc in locs:
-            value = other.get(loc)
-            if value.is_bottom():
-                continue
-            old = self.get(loc)
-            if old is value:
-                continue  # interning: pointer-equal means nothing new
-            new = old.join(value)
-            if new is not old and new != old:
-                self.set(loc, new)
-                grew = True
-        return grew
-
-    # -- generic (cross-backend) reference paths ----------------------------
-
-    def _leq_generic(self, other: "AbsState") -> bool:
-        for loc, value in self.items():
-            ov = other.get(loc)
-            if ov is not value and not value.leq(ov):
-                return False
-        return True
-
-    def _merge_generic(
-        self,
-        other: "AbsState",
-        widen: bool,
-        thresholds: tuple[int, ...] | None,
-        collect: bool,
-    ):
-        """Scalar reference merge working across backends; returns the
-        changed-location set (``collect``) or a changed bool."""
-        changed_locs: set[AbsLoc] = set()
-        changed = False
-        for loc, value in other.items():
-            old = self.get(loc)
-            if old is value:
-                continue
-            if old.is_bottom():
-                self.set(loc, value)
-                changed = True
-                if collect:
-                    changed_locs.add(loc)
-                continue
-            new = old.widen(value, thresholds) if widen else old.join(value)
-            if new is not old and new != old:
-                self.set(loc, new)
-                changed = True
-                if collect:
-                    changed_locs.add(loc)
-        return changed_locs if collect else changed
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, AbsState):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        for loc, value in self.items():
-            if other.get(loc) != value:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{l} ↦ {v}"
-            for l, v in sorted(self.items(), key=lambda kv: kv[0].sort_key())
-        )
-        return "{" + entries + "}"
-
-
-class ScalarAbsState(AbsState):
-    """The reference backend: a thin mutable wrapper over a dict."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping: dict[AbsLoc, AbsValue] | None = None) -> None:
-        self._map: dict[AbsLoc, AbsValue] = dict(mapping) if mapping else {}
-
-    @classmethod
-    def _adopt(cls, mapping: dict[AbsLoc, AbsValue]) -> "ScalarAbsState":
-        """Wrap a freshly-built dict without the constructor's defensive
-        copy (copy/restrict/remove build their mapping themselves)."""
-        out = object.__new__(cls)
-        out._map = mapping
-        return out
-
-    # -- access --------------------------------------------------------------
-
-    def get(self, loc: AbsLoc) -> AbsValue:
-        return self._map.get(loc, BOT)
-
-    def set(self, loc: AbsLoc, value: AbsValue) -> None:
-        """Strong update."""
-        if value.is_bottom():
-            self._map.pop(loc, None)
-        else:
-            self._map[loc] = intern_value(value)
-
-    def locations(self) -> set[AbsLoc]:
-        return set(self._map)
-
-    def items(self) -> Iterator[tuple[AbsLoc, AbsValue]]:
-        return iter(self._map.items())
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, loc: AbsLoc) -> bool:
-        return loc in self._map
-
-    def copy(self) -> "ScalarAbsState":
-        return ScalarAbsState._adopt(dict(self._map))
-
-    def delta_items(self, base: "AbsState") -> Iterator[tuple[AbsLoc, AbsValue]]:
-        """Entries of this state that are not the *same object* as in
-        ``base`` — cheap change detection for states derived by
-        copy-then-update (used by the flow-insensitive pre-analysis)."""
-        if type(base) is not ScalarAbsState:
-            for loc, value in self._map.items():
-                if base.get(loc) is not value:
-                    yield loc, value
-            return
-        base_map = base._map
-        for loc, value in self._map.items():
-            if base_map.get(loc) is not value:
-                yield loc, value
-
-    # -- domain restriction (the paper's f|C and f\C) -------------------------
-
-    def restrict(self, locs: Iterable[AbsLoc]) -> "ScalarAbsState":
-        """``s|locs`` — keep only the given locations."""
-        keep = set(locs)
-        return ScalarAbsState._adopt(
-            {l: v for l, v in self._map.items() if l in keep}
-        )
-
-    def remove(self, locs: Iterable[AbsLoc]) -> "ScalarAbsState":
-        """``s\\locs`` — drop the given locations."""
-        drop = set(locs)
-        return ScalarAbsState._adopt(
-            {l: v for l, v in self._map.items() if l not in drop}
-        )
-
-    # -- lattice --------------------------------------------------------------
-
-    def is_bottom(self) -> bool:
-        return not self._map
-
-    def leq(self, other: "AbsState") -> bool:
-        if self is other:
-            return True
-        if type(other) is not ScalarAbsState:
-            return self._leq_generic(other)
-        other_map = other._map
-        for loc, value in self._map.items():
-            ov = other_map.get(loc, BOT)
-            if ov is value:
-                continue
-            if not value.leq(ov):
-                return False
-        return True
-
-    def join_with(self, other: "AbsState") -> bool:
-        """In-place join; returns True when this state grew."""
-        if type(other) is not ScalarAbsState:
-            return self._merge_generic(other, False, None, False)
-        changed = False
-        self_map = self._map
-        for loc, value in other._map.items():
-            old = self_map.get(loc)
-            if old is None:
-                self_map[loc] = intern_value(value)
-                changed = True
-            elif old is value:
-                continue  # interning makes equal values pointer-equal
-            else:
-                new = old.join(value)
-                if new is not old and new != old:
-                    self_map[loc] = new
-                    changed = True
-        return changed
-
-    def widen_with(
-        self, other: "AbsState", thresholds: tuple[int, ...] | None = None
-    ) -> bool:
-        """In-place widening (pointwise); returns True when this state grew."""
-        if type(other) is not ScalarAbsState:
-            return self._merge_generic(other, True, thresholds, False)
-        changed = False
-        self_map = self._map
-        for loc, value in other._map.items():
-            old = self_map.get(loc)
-            if old is None:
-                self_map[loc] = intern_value(value)
-                changed = True
-            elif old is value:
-                continue
-            else:
-                new = old.widen(value, thresholds)
-                if new is not old and new != old:
-                    self_map[loc] = new
-                    changed = True
-        return changed
-
-    def join_changed(self, other: "AbsState") -> set[AbsLoc]:
-        """In-place join returning exactly the locations that changed —
-        lets the sparse engine propagate per location, not per node."""
-        if type(other) is not ScalarAbsState:
-            return self._merge_generic(other, False, None, True)
-        changed: set[AbsLoc] = set()
-        self_map = self._map
-        for loc, value in other._map.items():
-            old = self_map.get(loc)
-            if old is None:
-                self_map[loc] = intern_value(value)
-                changed.add(loc)
-            elif old is value:
-                continue
-            else:
-                new = old.join(value)
-                if new is not old and new != old:
-                    self_map[loc] = new
-                    changed.add(loc)
-        return changed
-
-    def widen_changed(
-        self, other: "AbsState", thresholds: tuple[int, ...] | None = None
-    ) -> set[AbsLoc]:
-        if type(other) is not ScalarAbsState:
-            return self._merge_generic(other, True, thresholds, True)
-        changed: set[AbsLoc] = set()
-        self_map = self._map
-        for loc, value in other._map.items():
-            old = self_map.get(loc)
-            if old is None:
-                self_map[loc] = intern_value(value)
-                changed.add(loc)
-            elif old is value:
-                continue
-            else:
-                new = old.widen(value, thresholds)
-                if new is not old and new != old:
-                    self_map[loc] = new
-                    changed.add(loc)
-        return changed
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is ScalarAbsState:
-            return self._map == other._map
-        return AbsState.__eq__(self, other)
-
-
-class ArrayAbsState(AbsState):
-    """The struct-of-arrays backend (see the module docstring).
-
     ``_lo``/``_hi`` cover the dense-id window ``[_base, _base + len)``;
     ``_payload`` holds values the row encoding cannot represent, keyed by
     global id (a payload id always has an absent row); ``_n_arr`` counts
@@ -630,6 +309,32 @@ class ArrayAbsState(AbsState):
                 return
         self._set_by_id(i, value)
 
+    # -- derived updates ------------------------------------------------------
+
+    def weak_set(self, loc: AbsLoc, value: AbsValue) -> None:
+        """Weak update: join with the existing value (the paper's ``[l ↪w v]``)."""
+        self.set(loc, self.get(loc).join(value))
+
+    def update_locs(self, locs: Iterable[AbsLoc], value: AbsValue) -> None:
+        """The paper's store semantics: a strong update when the target is a
+        single non-summary location, a weak update otherwise. The common
+        single-location case is detected without materializing a list."""
+        it = iter(locs)
+        first = next(it, _NO_MORE)
+        if first is _NO_MORE:
+            return
+        second = next(it, _NO_MORE)
+        if second is _NO_MORE:
+            if first.is_summary():
+                self.weak_set(first, value)
+            else:
+                self.set(first, value)
+            return
+        self.weak_set(first, value)
+        self.weak_set(second, value)
+        for loc in it:
+            self.weak_set(loc, value)
+
     def _present_row_ids(self) -> np.ndarray:
         return self._base + np.nonzero(self._lo <= self._hi)[0]
 
@@ -659,6 +364,11 @@ class ArrayAbsState(AbsState):
     def __len__(self) -> int:
         return self._n_arr + len(self._payload)
 
+    def __bool__(self) -> bool:
+        # An empty state is a real state (everything ⊥), not "no state" —
+        # `if state:` must not silently mean `if len(state):`.
+        return True
+
     def __contains__(self, loc: AbsLoc) -> bool:
         i = peek_loc_id(loc)
         if i is None:
@@ -668,8 +378,8 @@ class ArrayAbsState(AbsState):
         j = i - self._base
         return 0 <= j < len(self._lo) and bool(self._lo[j] <= self._hi[j])
 
-    def copy(self) -> "ArrayAbsState":
-        out = object.__new__(ArrayAbsState)
+    def copy(self) -> "AbsState":
+        out = object.__new__(AbsState)
         out._base = self._base
         out._lo = self._lo.copy()
         out._hi = self._hi.copy()
@@ -677,7 +387,7 @@ class ArrayAbsState(AbsState):
         out._n_arr = self._n_arr
         return out
 
-    def _aligned_window(self, other: "ArrayAbsState") -> tuple[np.ndarray, np.ndarray]:
+    def _aligned_window(self, other: "AbsState") -> tuple[np.ndarray, np.ndarray]:
         """``other``'s bound rows re-based onto this state's span; ids
         outside ``other``'s arrays read as absent. When the two states
         share a layout — the overwhelming copy-then-mutate case — returns
@@ -698,38 +408,36 @@ class ArrayAbsState(AbsState):
 
     def delta_items(self, base: "AbsState") -> Iterator[tuple[AbsLoc, AbsValue]]:
         """Entries of this state whose value differs from ``base``'s — the
-        pre-analysis's change detection. (The scalar backend detects by
-        object identity; bound rows compare by encoded bounds, which is the
-        same relation since equal rows reconstruct pointer-equal values.)"""
-        if type(base) is not ArrayAbsState:
-            for loc, value in self.items():
-                if base.get(loc) is not value:
-                    yield loc, value
-            return
+        pre-analysis's change detection. Values are compared by identity;
+        bound rows compare by encoded bounds, which is the same relation
+        since equal rows reconstruct pointer-equal values."""
         base_payload = base._payload
         for i, value in self._payload.items():
-            if base_payload.get(i) is not value:
-                yield loc_of_id(i), value
+            old = base_payload.get(i)
+            if old is value:
+                continue
+            if old is None and base._get_by_id(i) is value:
+                continue  # the same value, held in a base row
+            yield loc_of_id(i), value
         if not self._n_arr:
             return
         wlo, whi = self._aligned_window(base)
         present = self._lo <= self._hi
-        # a base payload id has an absent base row, so rows shadowed by a
-        # base payload value always differ here — exactly right, payload
-        # values are never structurally equal to a pure bound row
+        # a base payload id has an absent base row, so it always differs
+        # here; the payload lookup keeps an equal value placed there quiet
         diff = present & ((self._lo != wlo) | (self._hi != whi))
         for j in np.nonzero(diff)[0].tolist():
-            yield (
-                loc_of_id(self._base + j),
-                _value_of_bounds(self._lo.item(j), self._hi.item(j)),
-            )
+            i = self._base + j
+            value = _value_of_bounds(self._lo.item(j), self._hi.item(j))
+            if not base_payload or base_payload.get(i) is not value:
+                yield loc_of_id(i), value
 
     # -- domain restriction (the paper's f|C and f\C) -------------------------
 
-    def restrict(self, locs: Iterable[AbsLoc]) -> "ArrayAbsState":
+    def restrict(self, locs: Iterable[AbsLoc]) -> "AbsState":
         """``s|locs`` — keep only the given locations."""
         ids = _ids_of_locs(locs)
-        out = object.__new__(ArrayAbsState)
+        out = object.__new__(AbsState)
         out._base = self._base
         n = len(self._lo)
         mask = np.zeros(n, dtype=bool)
@@ -744,10 +452,10 @@ class ArrayAbsState(AbsState):
         out._payload = {i: v for i, v in self._payload.items() if i in ids}
         return out
 
-    def remove(self, locs: Iterable[AbsLoc]) -> "ArrayAbsState":
+    def remove(self, locs: Iterable[AbsLoc]) -> "AbsState":
         """``s\\locs`` — drop the given locations."""
         ids = _ids_of_locs(locs)
-        out = object.__new__(ArrayAbsState)
+        out = object.__new__(AbsState)
         out._base = self._base
         n = len(self._lo)
         mask = np.ones(n, dtype=bool)
@@ -770,8 +478,6 @@ class ArrayAbsState(AbsState):
     def leq(self, other: "AbsState") -> bool:
         if self is other:
             return True
-        if type(other) is not ArrayAbsState:
-            return self._leq_generic(other)
         for i, value in self._payload.items():
             ov = other._get_by_id(i)
             if ov is not value and not value.leq(ov):
@@ -821,18 +527,48 @@ class ArrayAbsState(AbsState):
                 return False
         return True
 
-    def _merge_array(
+    def _merge_generic(
         self,
-        other: "ArrayAbsState",
+        other: "AbsState",
         widen: bool,
         thresholds: tuple[int, ...] | None,
         collect: bool,
     ):
-        """Vectorized in-place join/widen with another array state; returns
+        """Value-by-value reference merge, for widening thresholds the int64
+        row encoding cannot hold; returns the changed-location set
+        (``collect``) or a changed bool."""
+        changed_locs: set[AbsLoc] = set()
+        changed = False
+        for loc, value in other.items():
+            old = self.get(loc)
+            if old is value:
+                continue
+            if old.is_bottom():
+                self.set(loc, value)
+                changed = True
+                if collect:
+                    changed_locs.add(loc)
+                continue
+            new = old.widen(value, thresholds) if widen else old.join(value)
+            if new is not old and new != old:
+                self.set(loc, new)
+                changed = True
+                if collect:
+                    changed_locs.add(loc)
+        return changed_locs if collect else changed
+
+    def _merge_array(
+        self,
+        other: "AbsState",
+        widen: bool,
+        thresholds: tuple[int, ...] | None,
+        collect: bool,
+    ):
+        """Vectorized in-place join/widen with another state; returns
         the changed-location set (``collect``) or a changed bool. The bulk
         of the state merges as numpy min/max (join) or masked threshold
-        selection (widen); payload entries on either side take the scalar
-        reference path first, and their ids are masked out of the bulk."""
+        selection (widen); payload entries on either side merge value by
+        value first, and their ids are masked out of the bulk."""
         thr = None
         if widen and thresholds:
             if all(-_LIM < t < _LIM for t in thresholds):
@@ -842,7 +578,7 @@ class ArrayAbsState(AbsState):
                 return self._merge_generic(other, widen, thresholds, collect)
         changed_locs: set[AbsLoc] = set()
         changed = False
-        # 1. other's payload values (scalar; may reclassify self's rows)
+        # 1. other's payload values (per value; may reclassify self's rows)
         for i, value in other._payload.items():
             old = self._get_by_id(i)
             if old is value:
@@ -856,7 +592,7 @@ class ArrayAbsState(AbsState):
                 changed = True
                 if collect:
                     changed_locs.add(loc_of_id(i))
-        # 2. other's bound rows hitting self payload values (scalar)
+        # 2. other's bound rows hitting self payload values (per value)
         exclude: list[int] = []
         if self._payload:
             ob = other._base
@@ -987,13 +723,16 @@ class ArrayAbsState(AbsState):
                     changed_locs.add(loc_of_id(lo_id + j))
         return changed_locs if collect else changed
 
+    def join(self, other: "AbsState") -> "AbsState":
+        out = self.copy()
+        out.join_with(other)
+        return out
+
     def join_with(self, other: "AbsState") -> bool:
         """In-place join; returns True when this state grew."""
         if self is other:
             return False
-        if type(other) is ArrayAbsState:
-            return self._merge_array(other, False, None, False)
-        return self._merge_generic(other, False, None, False)
+        return self._merge_array(other, False, None, False)
 
     def widen_with(
         self, other: "AbsState", thresholds: tuple[int, ...] | None = None
@@ -1001,33 +740,25 @@ class ArrayAbsState(AbsState):
         """In-place widening (pointwise); returns True when this state grew."""
         if self is other:
             return False
-        if type(other) is ArrayAbsState:
-            return self._merge_array(other, True, thresholds, False)
-        return self._merge_generic(other, True, thresholds, False)
+        return self._merge_array(other, True, thresholds, False)
 
     def join_changed(self, other: "AbsState") -> set[AbsLoc]:
         """In-place join returning exactly the locations that changed —
         lets the sparse engine propagate per location, not per node."""
         if self is other:
             return set()
-        if type(other) is ArrayAbsState:
-            return self._merge_array(other, False, None, True)
-        return self._merge_generic(other, False, None, True)
+        return self._merge_array(other, False, None, True)
 
     def widen_changed(
         self, other: "AbsState", thresholds: tuple[int, ...] | None = None
     ) -> set[AbsLoc]:
         if self is other:
             return set()
-        if type(other) is ArrayAbsState:
-            return self._merge_array(other, True, thresholds, True)
-        return self._merge_generic(other, True, thresholds, True)
+        return self._merge_array(other, True, thresholds, True)
 
     def join_entries_from(self, other: "AbsState", locs: Iterable[AbsLoc]) -> bool:
         """Per-location push without AbsValue materialization when both
         sides hold plain bound rows (the sparse engines' hottest loop)."""
-        if type(other) is not ArrayAbsState:
-            return AbsState.join_entries_from(self, other, locs)
         grew = False
         other_payload = other._payload
         ob = other._base
@@ -1085,49 +816,29 @@ class ArrayAbsState(AbsState):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is ArrayAbsState:
-            if self._n_arr != other._n_arr or self._payload != other._payload:
-                return False
-            if self._n_arr == 0:
-                return True
-            # equal row counts + equality over self's span ⇒ no present row
-            # of other lies outside it
-            wlo, whi = self._aligned_window(other)
-            return bool(
-                np.array_equal(self._lo, wlo) and np.array_equal(self._hi, whi)
-            )
-        return AbsState.__eq__(self, other)
+        if not isinstance(other, AbsState):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if self._payload.keys() != other._payload.keys():
+            # the same entry can sit in a row on one side and in the payload
+            # table on the other (_row_fits depends on insertion order):
+            # compare values, not placement
+            return all(other.get(loc) == value for loc, value in self.items())
+        if self._payload != other._payload:
+            return False
+        if self._n_arr == 0:
+            return True
+        # equal row counts + equality over self's span ⇒ no present row
+        # of other lies outside it
+        wlo, whi = self._aligned_window(other)
+        return bool(
+            np.array_equal(self._lo, wlo) and np.array_equal(self._hi, whi)
+        )
 
-
-# -- backend selection -------------------------------------------------------
-
-_BACKENDS: dict[str, type] = {
-    "array": ArrayAbsState,
-    "scalar": ScalarAbsState,
-    "dict": ScalarAbsState,
-}
-
-_ACTIVE: type = _BACKENDS.get(
-    os.environ.get("REPRO_STORE", "array").strip().lower(), ArrayAbsState
-)
-
-
-def store_backend() -> str:
-    """The active backend name (``"array"`` or ``"scalar"``)."""
-    return "array" if _ACTIVE is ArrayAbsState else "scalar"
-
-
-def set_store_backend(name: str) -> str:
-    """Select the storage backend newly-constructed ``AbsState`` objects
-    use (existing states keep their class; the backends interoperate).
-    Returns the previous backend name — the A/B knob for benchmarks and
-    the differential suites."""
-    global _ACTIVE
-    previous = store_backend()
-    try:
-        _ACTIVE = _BACKENDS[name.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {name!r}; use 'array' or 'scalar'"
-        ) from None
-    return previous
+    def __repr__(self) -> str:
+        entries = ", ".join(
+            f"{l} ↦ {v}"
+            for l, v in sorted(self.items(), key=lambda kv: kv[0].sort_key())
+        )
+        return "{" + entries + "}"

@@ -171,11 +171,9 @@ def octagon_from_wire(wire: dict):
 def state_to_wire(state) -> list:
     """Tagged encoding for either table-state flavour: ``["abs", ...]`` for
     :class:`AbsState`, ``["pack", ...]`` for :class:`PackState`. Entries are
-    sorted by location/pack sort key, so the encoding is canonical — and
-    storage-backend independent: both the array and scalar ``AbsState``
-    backends serialize through ``items()`` to the same wire bytes, and
-    decoding rebuilds the *active* backend, so checkpoints written under
-    one backend resume cleanly under the other."""
+    sorted by location/pack sort key, so the encoding is canonical: it
+    depends only on ``items()``, not on whether the store keeps an entry in
+    a bound row or in its payload table."""
     if isinstance(state, AbsState):
         return [
             "abs",

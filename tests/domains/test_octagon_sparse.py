@@ -7,19 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.domains import octagon as octagon_mod
 from repro.domains.interval import Interval
-from repro.domains.octagon import (
-    Octagon,
-    set_sparse_closure,
-    sparse_closure_enabled,
-)
-
-
-@pytest.fixture(autouse=True)
-def sparse_on():
-    previous = set_sparse_closure(enabled=True, threshold=0.9)
-    yield
-    set_sparse_closure(*previous)
+from repro.domains.octagon import Octagon
 
 
 @st.composite
@@ -53,11 +43,11 @@ def octagons(draw, max_dim=8):
 
 
 def _dense(fn):
-    previous = set_sparse_closure(enabled=False)
-    try:
+    """``fn()`` on the dense Miné reference path: the sparse paths are
+    module-private and switched off only for this call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(octagon_mod, "_SPARSE_ENABLED", False)
         return fn()
-    finally:
-        set_sparse_closure(*previous)
 
 
 def _same(a: Octagon, b: Octagon) -> None:
@@ -124,15 +114,6 @@ def test_dense_fallback_above_threshold():
     for k in range(3):
         oct_ = oct_.with_upper(k, k + 1).with_lower(k, -k)
     _same(oct_.closed(), _dense(lambda: Octagon(3, oct_.matrix).closed()))
-
-
-def test_knob_round_trip():
-    assert sparse_closure_enabled()
-    previous = set_sparse_closure(enabled=False, threshold=0.5)
-    assert previous[0] is True
-    assert not sparse_closure_enabled()
-    set_sparse_closure(*previous)
-    assert sparse_closure_enabled()
 
 
 @settings(max_examples=30)

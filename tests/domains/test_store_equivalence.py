@@ -1,27 +1,24 @@
 """Property-based equivalence: the vectorized array-backed store must be
-observationally identical to the scalar dict reference.
+observationally identical to the dict reference in :mod:`.dict_state`.
 
 Every lattice operation, changed-set extraction, restriction and codec
 round-trip is exercised on randomized states covering ⊥ entries, ±∞ and
-out-of-int64 bounds, pointer payloads and array blocks — the array backend
-must agree with :class:`ScalarAbsState` on all of them, including when the
-two backends are mixed in one operation (checkpoint resume can do that).
+out-of-int64 bounds, pointer payloads, array blocks and location ids far
+apart enough that insertion order decides whether an entry sits in a bound
+row or in the payload table — :class:`AbsState` must agree with
+:class:`DictState` on all of them.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.domains.absloc import AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc
+from repro.domains.absloc import AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc, loc_id
 from repro.domains.interval import Interval
-from repro.domains.state import (
-    AbsState,
-    ArrayAbsState,
-    ScalarAbsState,
-    set_store_backend,
-    store_backend,
-)
+from repro.domains.state import AbsState
 from repro.domains.value import AbsValue, ArrayBlock, intern_value
 from repro.runtime.checkpoint import state_from_wire, state_to_wire
+
+from tests.domains.dict_state import DictState
 
 # -- payload side-table values -----------------------------------------------
 
@@ -74,6 +71,18 @@ _LOCS = (
     + [FieldLoc(AllocLoc("s0"), "fld"), RetLoc("f")]
 )
 
+# Two locations interned more than the store's span slack away from the
+# cluster above: whichever of a far and a near location a state sees first
+# takes a bound row, and the other lands in the payload table.
+for _loc in _LOCS:
+    loc_id(_loc)
+for _k in range(6000):
+    loc_id(VarLoc(f"spacer{_k}", "eqv"))
+_FAR = [VarLoc(f"far{k}", "eqv") for k in range(2)]
+for _loc in _FAR:
+    loc_id(_loc)
+_POOL = _LOCS + _FAR
+
 _BIG = 1 << 70  # beyond the int64 row encoding — must take the payload path
 
 bounds = st.one_of(
@@ -109,11 +118,13 @@ def values(draw):
 
 @st.composite
 def loc_maps(draw):
-    locs = draw(st.lists(st.sampled_from(_LOCS), max_size=8, unique=True))
+    """A mapping whose iteration order is the insertion order ``_mk``
+    uses; far locations come first, last or in between."""
+    locs = draw(st.lists(st.sampled_from(_POOL), max_size=8, unique=True))
     return {loc: draw(values()) for loc in locs}
 
 
-loc_sets = st.sets(st.sampled_from(_LOCS), max_size=10)
+loc_sets = st.sets(st.sampled_from(_POOL), max_size=10)
 thresholds = st.one_of(
     st.none(),
     st.builds(
@@ -126,37 +137,44 @@ thresholds = st.one_of(
 
 
 def _mk(cls, mapping):
-    state = object.__new__(cls)
-    state.__init__()
+    state = cls()
     for loc, value in mapping.items():
         state.set(loc, intern_value(value))
     return state
 
 
 def _pairs(mapping):
-    """The same logical state in both backends."""
-    return _mk(ArrayAbsState, mapping), _mk(ScalarAbsState, mapping)
+    """The same logical state in the store and in the oracle."""
+    return _mk(AbsState, mapping), _mk(DictState, mapping)
 
 
 def _table(state):
     return {loc: value for loc, value in state.items()}
 
 
-def _assert_same(arr, sca):
-    assert _table(arr) == _table(sca)
-    assert len(arr) == len(sca)
-    assert arr == sca and sca == arr
-    assert arr.is_bottom() == sca.is_bottom()
+def _assert_same(arr, ref):
+    assert _table(arr) == _table(ref)
+    assert len(arr) == len(ref)
+    assert arr.is_bottom() == ref.is_bottom()
+    # equality must not depend on placement: rebuilding in the reverse
+    # insertion order can move entries between rows and the payload table
+    rebuilt = _mk(AbsState, dict(reversed(list(ref.items()))))
+    assert arr == rebuilt and rebuilt == arr
+
+
+_V1 = AbsValue.of_interval(Interval.range(0, 1))
+_V2 = AbsValue.of_interval(Interval.range(2, 3))
 
 
 # -- structural equivalence ---------------------------------------------------
 
 
 @given(loc_maps())
+@example({_LOCS[0]: _V1, _FAR[0]: _V2})
 def test_construction_items_len_contains(mapping):
     arr, sca = _pairs(mapping)
     _assert_same(arr, sca)
-    for loc in _LOCS:
+    for loc in _POOL:
         assert (loc in arr) == (loc in sca)
         assert arr.get(loc) == sca.get(loc)
 
@@ -165,7 +183,7 @@ def test_construction_items_len_contains(mapping):
 def test_copy_is_independent(mapping):
     arr, _ = _pairs(mapping)
     dup = arr.copy()
-    _assert_same(dup, _mk(ScalarAbsState, mapping))
+    _assert_same(dup, _mk(DictState, mapping))
     dup.set(VarLoc("fresh", "f"), intern_value(AbsValue.of_interval(Interval(1, 2))))
     assert VarLoc("fresh", "f") not in arr
 
@@ -193,15 +211,14 @@ def test_strong_update_and_bottom_removal(mapping):
 
 
 @given(loc_maps(), loc_maps())
+@example({_LOCS[0]: _V1, _FAR[0]: _V2}, {_FAR[0]: _V2, _LOCS[0]: _V2})
 def test_leq_matches(a, b):
     arr_a, sca_a = _pairs(a)
     arr_b, sca_b = _pairs(b)
     expected = sca_a.leq(sca_b)
     assert arr_a.leq(arr_b) == expected
-    # mixed backends take the generic path and must agree too
-    assert arr_a.leq(sca_b) == expected
-    assert sca_a.leq(arr_b) == expected
     assert arr_a.leq(arr_a) and sca_a.leq(sca_a)
+    assert (arr_a == arr_b) == (sca_a == sca_b)
 
 
 @given(loc_maps(), loc_maps())
@@ -212,10 +229,6 @@ def test_join_with_matches(a, b):
     ch_sca = sca_a.join_with(sca_b)
     assert ch_arr == ch_sca
     _assert_same(arr_a, sca_a)
-    # mixed: array state joined with a scalar argument
-    arr_m, _ = _pairs(a)
-    assert arr_m.join_with(sca_b) == ch_sca
-    _assert_same(arr_m, sca_a)
 
 
 @given(loc_maps(), loc_maps(), thresholds)
@@ -226,9 +239,6 @@ def test_widen_with_matches(a, b, thr):
     ch_sca = sca_a.widen_with(sca_b, thr)
     assert ch_arr == ch_sca
     _assert_same(arr_a, sca_a)
-    arr_m, _ = _pairs(a)
-    assert arr_m.widen_with(sca_b, thr) == ch_sca
-    _assert_same(arr_m, sca_a)
 
 
 @given(loc_maps(), loc_maps())
@@ -258,6 +268,7 @@ def test_join_entries_from_matches(a, b, locs):
 
 
 @given(loc_maps(), loc_maps())
+@example({_LOCS[0]: _V1, _FAR[0]: _V2}, {})
 def test_delta_items_matches(a, b):
     arr_a, sca_a = _pairs(a)
     arr_b, sca_b = _pairs(b)
@@ -266,7 +277,12 @@ def test_delta_items_matches(a, b):
     sca_d = sca_a.copy()
     arr_d.join_with(arr_b)
     sca_d.join_with(sca_b)
-    assert dict(arr_d.delta_items(arr_a)) == dict(sca_d.delta_items(sca_a))
+    expected = dict(sca_d.delta_items(sca_a))
+    assert dict(arr_d.delta_items(arr_a)) == expected
+    # and against the same base built in another order, which may place
+    # entries differently
+    arr_r = _mk(AbsState, dict(reversed(a.items())))
+    assert dict(arr_d.delta_items(arr_r)) == expected
 
 
 @given(loc_maps(), loc_maps())
@@ -289,55 +305,41 @@ def test_weak_set_and_update_locs_match(a, b):
 @given(loc_maps())
 @example(_payload_mapping())
 def test_wire_round_trip_is_backend_independent(mapping):
+    """The wire form is a function of the entries alone, not of insertion
+    order or placement, and decoding gives back the oracle's state."""
     arr, sca = _pairs(mapping)
     wire_arr = state_to_wire(arr)
-    wire_sca = state_to_wire(sca)
-    assert wire_arr == wire_sca
+    assert wire_arr == state_to_wire(_mk(AbsState, dict(reversed(mapping.items()))))
     decoded = state_from_wire(wire_arr)
-    _assert_same(_mk(ArrayAbsState, _table(decoded)), sca)
+    assert type(decoded) is AbsState
+    _assert_same(decoded, sca)
 
 
 def test_values_land_in_payload_table():
     """White-box: the payload values really do take the side-table path
     (otherwise the round-trip example above would not cover it)."""
-    previous = set_store_backend("array")
-    try:
-        state = AbsState()
-        assert isinstance(state, ArrayAbsState)
-        for idx, value in enumerate(_payload_values().values()):
-            state.set(VarLoc(f"v{idx}", "f"), value)
-        assert len(state._payload) == len(_payload_values())
-    finally:
-        set_store_backend(previous)
+    state = AbsState()
+    for idx, value in enumerate(_payload_values().values()):
+        state.set(VarLoc(f"v{idx}", "f"), value)
+    assert len(state._payload) == len(_payload_values())
 
 
-# -- backend selection --------------------------------------------------------
-
-
-def test_backend_dispatch_and_knob():
-    previous = set_store_backend("scalar")
-    try:
-        assert store_backend() == "scalar"
-        assert type(AbsState()) is ScalarAbsState
-        assert set_store_backend("array") == "scalar"
-        assert type(AbsState()) is ArrayAbsState
-        assert type(AbsState({VarLoc("x"): AbsValue.of_interval(Interval(0, 1))})) is ArrayAbsState
-    finally:
-        set_store_backend(previous)
-    try:
-        set_store_backend("nope")
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("unknown backend must raise")
-    assert isinstance(AbsState(), AbsState)
+def test_far_location_placement_follows_insertion_order():
+    """White-box: the far/near pair of the ``@example`` above really does
+    store one entry in the payload table, a different one per order."""
+    near, far = _LOCS[0], _FAR[0]
+    a = _mk(AbsState, {near: _V1, far: _V2})
+    b = _mk(AbsState, {far: _V2, near: _V1})
+    assert a._payload.keys() != b._payload.keys()
+    assert len(a._payload) == len(b._payload) == 1
+    assert a == b
 
 
 @settings(max_examples=25)
 @given(loc_maps(), loc_maps())
 def test_analysis_shaped_sequence(a, b):
-    """A join→widen→narrow-shaped sequence keeps both backends in lockstep
-    (the exact call pattern the fixpoint engine produces)."""
+    """A join→widen→narrow-shaped sequence keeps the store and the oracle
+    in lockstep (the exact call pattern the fixpoint engine produces)."""
     arr, sca = _pairs(a)
     arr_b, sca_b = _pairs(b)
     arr.join_changed(arr_b)
@@ -345,7 +347,7 @@ def test_analysis_shaped_sequence(a, b):
     arr.widen_changed(arr_b, (0, 16))
     sca.widen_changed(sca_b, (0, 16))
     _assert_same(arr, sca)
-    assert arr.leq(sca) and sca.leq(arr)
+    assert arr.leq(arr.copy()) and sca.leq(sca.copy())
     out_a = arr.join(arr_b)
     out_s = sca.join(sca_b)
     _assert_same(out_a, out_s)

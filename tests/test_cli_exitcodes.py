@@ -99,6 +99,13 @@ class TestExitCodes:
         proc = _run(["analyze", "/nonexistent-file.c"])
         assert proc.returncode == 2
 
+    def test_removed_store_flag_is_usage_error(self, clean_file):
+        # the interval store has one implementation; --store is not an option
+        proc = _run(["analyze", clean_file, "--store", "scalar"])
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --store scalar" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_internal_crash_exits_3_with_traceback(self, clean_file):
         proc = _run([clean_file], env_extra={"REPRO_INTERNAL_CRASH": "1"})
         assert proc.returncode == 3
