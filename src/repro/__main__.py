@@ -327,7 +327,6 @@ def _serve_supervised(
 
     config = SupervisorConfig(
         request_deadline=args.request_deadline,
-        heartbeat_timeout=args.heartbeat_timeout,
         snapshot_every=args.snapshot_every,
         max_pending=args.max_pending,
         max_restarts=args.max_restarts,
@@ -616,11 +615,6 @@ def main(argv: list[str] | None = None) -> int:
         "--request-deadline", type=float, default=60.0, metavar="S",
         help="supervised: hard per-request wall-clock ceiling; a worker "
         "that exceeds it is killed and respawned (default 60)",
-    )
-    p_serve.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="S",
-        help="supervised: treat the worker as hung when its heartbeat "
-        "goes stale for S seconds mid-request",
     )
     p_serve.add_argument(
         "--snapshot-every", type=int, default=16, metavar="N",

@@ -285,8 +285,8 @@ def supervised_session(
 ):
     """Create (without starting) a :class:`repro.server.Supervisor` — the
     crash-recovering runtime behind ``repro serve --supervised``. The
-    session lives in a worker child; crashes, hangs past the per-request
-    deadline, and lost heartbeats are answered with ``retry`` errors while
+    session lives in a worker child; crashes and hangs past the
+    per-request deadline are answered with ``retry`` errors while
     the worker is respawned (with backoff) and restored from its latest
     snapshot. ``options`` are the :func:`serve_session` options; ``config``
     is a :class:`repro.server.SupervisorConfig`. Call ``.start()`` before

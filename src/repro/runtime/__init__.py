@@ -18,6 +18,11 @@ failure-tolerant:
 * :mod:`repro.runtime.pool` — the fault-tolerant multi-process batch
   driver behind ``repro batch`` (timeouts, retry with backoff, crash
   detection, resume-from-checkpoint);
+* :mod:`repro.runtime.worker` — the supervised-child primitive both the
+  batch pool and supervised serve are built on: start method, heartbeat
+  file, crash/deadline/heartbeat verdict, SIGTERM→grace→SIGKILL stop,
+  and the first-attempt fault rules;
+* :mod:`repro.runtime.backoff` — the seeded retry/respawn delay policy;
 * :mod:`repro.runtime.atomicio` — crash-safe file writes shared by
   checkpoints, telemetry exporters, and reports;
 * :mod:`repro.runtime.interrupt` — SIGINT/SIGTERM → exception bridging

@@ -36,10 +36,18 @@ class BackoffPolicy:
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (1-based: the first retry is
         attempt 1). Consumes exactly one ``rng.random()`` draw."""
+        delay = self.nominal(attempt) * (1.0 + self.jitter * rng.random())
+        if self.max_delay is not None:
+            delay = min(delay, self.max_delay)
+        return delay
+
+    def nominal(self, attempt: int) -> float:
+        """The jitter-free delay before retry ``attempt``, capped at
+        ``max_delay``. Draws nothing, so it can estimate a delay without
+        shifting the seeded schedule."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         delay = self.base * self.factor ** (attempt - 1)
-        delay *= 1.0 + self.jitter * rng.random()
         if self.max_delay is not None:
             delay = min(delay, self.max_delay)
         return delay

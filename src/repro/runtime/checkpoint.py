@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from typing import Any
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.domains.state import AbsState
 from repro.domains.value import AbsValue, ArrayBlock, intern_value
 from repro.runtime.atomicio import atomic_write_bytes
 from repro.runtime.errors import CheckpointError
+from repro.runtime.worker import touch
 from repro.telemetry.core import Telemetry
 
 #: bump whenever the payload layout or any wire codec changes shape
@@ -357,11 +357,6 @@ class Checkpointer:
     def heartbeat_path(self) -> str:
         return self.path + ".hb"
 
-    def touch_heartbeat(self) -> None:
-        # plain write: only the mtime matters, a torn heartbeat is harmless
-        with open(self.heartbeat_path, "w") as f:
-            f.write(str(time.time()))
-
     def maybe_write(self, engine) -> None:
         if engine.stats.iterations % self.every == 0:
             self.write(engine, reason="periodic")
@@ -376,5 +371,5 @@ class Checkpointer:
         self._telemetry.count("checkpoint.writes")
         self._telemetry.count("checkpoint.bytes", n)
         if self._heartbeat:
-            self.touch_heartbeat()
+            touch(self.heartbeat_path)
         return n

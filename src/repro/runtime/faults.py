@@ -56,8 +56,8 @@ class FaultPlan:
       before any response is written (kill-mid-query from the client's
       point of view);
     * ``hang_request_at`` — hang the worker (sleep ``hang_seconds``)
-      inside the Nth request, exercising the supervisor's hard deadline /
-      lost-heartbeat watchdog rather than any cooperative budget;
+      inside the Nth request, exercising the supervisor's hard deadline
+      watchdog rather than any cooperative budget;
     * ``kill_edit_at`` — SIGKILL the worker *between* applying the Nth
       edit to the in-memory session and durably recording the new source
       text: the crash-mid-edit atomicity window. After restart the edit

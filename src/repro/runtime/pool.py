@@ -30,11 +30,10 @@ a permanent failure. The driver aggregates worker telemetry
 counters (``checkpoint.writes``, ``checkpoint.bytes``) plus its own
 (``worker.retries``, ``worker.restores``) into the supervising registry.
 
-Fault injection: a job's :class:`FaultPlan` is applied on the *first*
-attempt only (``kill_worker_at`` would otherwise kill every retry too);
-``corrupt_checkpoint`` is driver-side — bytes of the checkpoint are
-flipped before the first retry, exercising the fail-closed restore path
-end to end.
+Starting, watching and stopping workers, and the fault-injection rules
+(a job's :class:`FaultPlan` fires on the first attempt only;
+``corrupt_checkpoint`` flips checkpoint bytes before the first retry),
+live in :mod:`repro.runtime.worker`.
 """
 
 from __future__ import annotations
@@ -42,23 +41,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import signal
 import time
 from dataclasses import dataclass, field
 
+from repro.runtime import worker as workers
 from repro.runtime.atomicio import atomic_write_json
 from repro.runtime.backoff import BackoffPolicy
 from repro.runtime.errors import AnalysisInterrupted, ReproError
-from repro.runtime.faults import FaultPlan, corrupt_file_tail
+from repro.runtime.faults import FaultPlan
 from repro.telemetry.core import Telemetry
 
-#: seconds between SIGTERM and SIGKILL when stopping a worker
-_TERM_GRACE = 3.0
 #: supervisor poll period (seconds)
 _POLL = 0.03
+#: batch retry causes per worker verdict kind (crash adds the exit code)
+_CAUSES = {workers.DEADLINE: "timeout", workers.HEARTBEAT: "heartbeat"}
 
 
 @dataclass
@@ -189,8 +188,9 @@ def _count_alarms(run) -> int:
     )
 
 
-def _worker_main(spec: dict, ckpt_path: str, result_path: str, attempt: int,
-                 resume: bool, apply_faults: bool) -> None:
+def _worker_main(job: BatchJob, checkpoint_every: int, ckpt_path: str,
+                 result_path: str, attempt: int, resume: bool,
+                 faults: FaultPlan | None) -> None:
     """Subprocess entry: analyze one file, write the result atomically.
 
     A worker that *completes* (even with a permanent analysis error) always
@@ -202,38 +202,27 @@ def _worker_main(spec: dict, ckpt_path: str, result_path: str, attempt: int,
     from repro.runtime.errors import CheckpointError
     from repro.runtime.interrupt import raising_signal_handlers
 
-    # let the supervisor's heartbeat monitor see us alive before any work
-    with open(ckpt_path + ".hb", "w") as f:
-        f.write(str(time.time()))
-
-    hang_attempt = spec["options"].pop("_hang_attempt", None)
-    if hang_attempt == attempt:
+    options = dict(job.options)
+    if options.pop("_hang_attempt", None) == attempt:
         time.sleep(600)  # test hook: simulate a hung worker
-
-    faults = None
-    if apply_faults and spec.get("faults") is not None:
-        plan = dict(spec["faults"])
-        if plan.get("drop_dep_edge") is not None:
-            plan["drop_dep_edge"] = tuple(plan["drop_dep_edge"])
-        faults = FaultPlan(**plan)
 
     tel = Telemetry(enabled=True)
     result: dict = {"status": "ok", "resumed": False, "restore_error": None}
 
     def _run(resume_flag: bool, fault_plan):
-        with open(spec["path"], "r") as f:
+        with open(job.path, "r") as f:
             source = f.read()
         return analyze(
             source,
-            domain=spec["domain"],
-            mode=spec["mode"],
-            filename=spec["path"],
+            domain=job.domain,
+            mode=job.mode,
+            filename=job.path,
             checkpoint_path=ckpt_path,
-            checkpoint_every=spec["checkpoint_every"],
+            checkpoint_every=checkpoint_every,
             resume=resume_flag,
             faults=fault_plan,
             telemetry=tel,
-            **spec["options"],
+            **options,
         )
 
     try:
@@ -282,11 +271,7 @@ def _worker_main(spec: dict, ckpt_path: str, result_path: str, attempt: int,
 class _Active:
     index: int
     attempt: int
-    proc: multiprocessing.process.BaseProcess
-    deadline: float | None
-    resumed: bool
-    #: perf_counter at launch — the per-job wall clock's zero
-    started: float = 0.0
+    worker: workers.Worker
 
 
 @dataclass
@@ -301,21 +286,6 @@ def _job_paths(checkpoint_dir: str, job: BatchJob) -> tuple[str, str]:
     stem = os.path.splitext(os.path.basename(job.path))[0]
     base = os.path.join(checkpoint_dir, f"{stem}-{digest}")
     return base + ".ckpt", base + ".result.json"
-
-
-#: back-compat alias — the byte-flipper now lives in runtime.faults so the
-#: serve supervisor's ``corrupt_snapshot`` fault shares it
-_corrupt_file = corrupt_file_tail
-
-
-def _stop_worker(proc) -> None:
-    if not proc.is_alive():
-        return
-    proc.terminate()  # SIGTERM → worker flushes a final checkpoint
-    proc.join(_TERM_GRACE)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
 
 
 def run_batch(
@@ -345,12 +315,12 @@ def run_batch(
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
+    workers.positive_or_none("job_timeout", job_timeout)
+    workers.positive_or_none("heartbeat_timeout", heartbeat_timeout)
     # the report's aggregate counters must exist even without a caller
     # registry, so the no-telemetry default is a private enabled one
     tel = Telemetry(enabled=True) if telemetry is None else Telemetry.coerce(telemetry)
     os.makedirs(checkpoint_dir, exist_ok=True)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     rng = random.Random(seed)
     backoff = BackoffPolicy(
         base=backoff_base, factor=backoff_factor, jitter=jitter
@@ -374,47 +344,28 @@ def run_batch(
         queue.append(_Queued(i, attempt=1, ready_at=0.0))
     active: dict[int, _Active] = {}
 
-    def spec_for(index: int) -> dict:
-        job = jobs[index]
-        return {
-            "path": job.path,
-            "domain": job.domain,
-            "mode": job.mode,
-            "options": dict(job.options),
-            "checkpoint_every": checkpoint_every,
-            "faults": (
-                dataclasses.asdict(job.faults) if job.faults is not None else None
-            ),
-        }
-
     def launch(entry: _Queued) -> None:
         index, attempt = entry.index, entry.attempt
+        job = jobs[index]
         ckpt, result_path = paths[index]
+        faults = job.faults
+        workers.corrupt_before_first_retry(
+            faults is not None and faults.corrupt_checkpoint, attempt, ckpt
+        )
         resume_flag = os.path.exists(ckpt) and (attempt > 1 or resume)
         if resume_flag:
             resume_launches[index] += 1
-        # restart the staleness clock: a previous attempt's heartbeat file
-        # must not get the fresh worker killed before it first reports in
-        with open(ckpt + ".hb", "w") as f:
-            f.write(str(time.time()))
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(spec_for(index), ckpt, result_path, attempt,
-                  resume_flag, attempt == 1),
-            daemon=True,
+        worker = workers.Worker(
+            _worker_main,
+            (job, checkpoint_every, ckpt, result_path, attempt, resume_flag,
+             workers.faults_for_attempt(faults, attempt)),
+            heartbeat=ckpt + ".hb",
+            heartbeat_timeout=heartbeat_timeout,
         )
-        proc.start()
-        now = time.perf_counter()
-        active[index] = _Active(
-            index=index,
-            attempt=attempt,
-            proc=proc,
-            deadline=(now + job_timeout) if job_timeout else None,
-            resumed=resume_flag,
-            started=now,
-        )
+        worker.arm(job_timeout)
+        active[index] = _Active(index=index, attempt=attempt, worker=worker)
         outcomes[index].attempts = attempt
-        outcomes[index].worker = proc.pid
+        outcomes[index].worker = worker.pid
 
     def requeue(entry: _Active, cause: str) -> bool:
         """Schedule a retry; False when the retry budget is exhausted."""
@@ -424,18 +375,10 @@ def run_batch(
         if entry.attempt > max_retries:
             outcome.status = "failed"
             outcome.error = f"gave up after {entry.attempt} attempts ({cause})"
-            outcome.wall_s = time.perf_counter() - entry.started
+            outcome.wall_s = time.monotonic() - entry.worker.started
             return False
         outcome.retries += 1
         tel.count("worker.retries")
-        job = jobs[index]
-        if (
-            entry.attempt == 1
-            and job.faults is not None
-            and job.faults.corrupt_checkpoint
-            and os.path.exists(paths[index][0])
-        ):
-            _corrupt_file(paths[index][0])
         delay = backoff.delay(entry.attempt, rng)
         queue.append(
             _Queued(index, entry.attempt + 1, time.perf_counter() + delay)
@@ -445,7 +388,7 @@ def run_batch(
     def finalize(entry: _Active, result: dict) -> None:
         index = entry.index
         outcome = outcomes[index]
-        outcome.wall_s = time.perf_counter() - entry.started
+        outcome.wall_s = time.monotonic() - entry.worker.started
         if result.get("resumed"):
             outcome.resumed += 1
             tel.count("worker.restores")
@@ -476,39 +419,24 @@ def run_batch(
                     queue.remove(entry)
                     launch(entry)
                 for entry in list(active.values()):
-                    ckpt, result_path = paths[entry.index]
-                    alive = entry.proc.is_alive()
-                    if not alive and os.path.exists(result_path):
+                    verdict = entry.worker.verdict()
+                    if verdict is None:
+                        continue
+                    # SIGTERM → a live worker flushes a final checkpoint
+                    entry.worker.stop()
+                    del active[entry.index]
+                    result_path = paths[entry.index][1]
+                    if verdict.kind != workers.CRASH:
+                        requeue(entry, _CAUSES[verdict.kind])
+                    elif os.path.exists(result_path):
                         with open(result_path) as f:
                             finalize(entry, json.load(f))
-                        entry.proc.join()
-                        del active[entry.index]
-                        continue
-                    if not alive:
-                        entry.proc.join()
-                        del active[entry.index]
-                        requeue(entry, f"crash(exit {entry.proc.exitcode})")
-                        continue
-                    now = time.perf_counter()
-                    if entry.deadline is not None and now > entry.deadline:
-                        _stop_worker(entry.proc)
-                        del active[entry.index]
-                        requeue(entry, "timeout")
-                        continue
-                    if heartbeat_timeout is not None:
-                        try:
-                            age = time.time() - os.path.getmtime(ckpt + ".hb")
-                        except OSError:
-                            age = None
-                        if age is not None and age > heartbeat_timeout:
-                            _stop_worker(entry.proc)
-                            del active[entry.index]
-                            requeue(entry, "heartbeat")
-                            continue
+                    else:
+                        requeue(entry, f"crash(exit {verdict.exitcode})")
                 time.sleep(_POLL)
         finally:
             for entry in active.values():
-                _stop_worker(entry.proc)
+                entry.worker.stop()
         batch_span.set(
             retries=tel.counters.get("worker.retries", 0),
             restores=tel.counters.get("worker.restores", 0),

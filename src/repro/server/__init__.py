@@ -1,10 +1,13 @@
 """Long-running demand-driven query server (``repro serve``).
 
-:mod:`repro.server.protocol` — line-oriented JSON request/response codec.
+:mod:`repro.server.protocol` — line-oriented JSON request/response codec
+and the one request-answering path (``answer_line``) shared by the
+in-process loop and the supervised worker.
 :mod:`repro.server.session` — resident analysis state, cone-restricted
 queries, incremental edits.
 :mod:`repro.server.supervisor` — crash-recovering supervised runtime
-(worker child, watchdog deadlines, snapshot restore, admission control).
+(worker child on :mod:`repro.runtime.worker`, per-request deadline,
+snapshot restore, admission control).
 :mod:`repro.server.chaos` — seeded fault-scenario harness for the
 recovery invariant (also the CI ``serve-chaos`` entry point).
 """
@@ -12,6 +15,7 @@ recovery invariant (also the CI ``serve-chaos`` entry point).
 from repro.server.protocol import (
     MAX_REQUEST_BYTES,
     ProtocolError,
+    answer_line,
     decode_request,
     dispatch_request,
     encode_response,
@@ -35,6 +39,7 @@ __all__ = [
     "ServeSession",
     "Supervisor",
     "SupervisorConfig",
+    "answer_line",
     "decode_request",
     "dispatch_request",
     "encode_response",

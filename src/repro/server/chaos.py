@@ -13,11 +13,10 @@ invariant:
    counts are excluded: recovery legitimately re-solves).
 
 Scenarios: ``kill`` (SIGKILL mid-query), ``hang`` (worker sleeps past the
-hard request deadline), ``heartbeat`` (same hang, detected by heartbeat
-staleness), ``kill-edit`` (SIGKILL inside the crash-mid-edit atomicity
-window), ``corrupt-snapshot`` (crash + snapshot bytes flipped before the
-respawn, forcing the fail-closed restore). Every schedule is derived from
-a seed, so a failure replays exactly.
+hard request deadline), ``kill-edit`` (SIGKILL inside the crash-mid-edit
+atomicity window), ``corrupt-snapshot`` (crash + snapshot bytes flipped
+before the respawn, forcing the fail-closed restore). Every schedule is
+derived from a seed, so a failure replays exactly.
 
 CI entry point (the ``serve-chaos`` job)::
 
@@ -41,7 +40,7 @@ from repro.server.protocol import dispatch_request
 from repro.server.session import ServeSession
 from repro.server.supervisor import BackoffPolicy, Supervisor, SupervisorConfig
 
-SCENARIOS = ("kill", "hang", "heartbeat", "kill-edit", "corrupt-snapshot")
+SCENARIOS = ("kill", "hang", "kill-edit", "corrupt-snapshot")
 
 #: response fields that may legitimately differ between a recovered and a
 #: never-crashed session: timings, engine work, answer provenance, and the
@@ -64,7 +63,7 @@ def fault_for(scenario: str, rng: random.Random, n_ops: int) -> FaultPlan:
     at = rng.randint(2, max(2, n_ops - 1))
     if scenario == "kill":
         return FaultPlan(kill_request_at=at)
-    if scenario in ("hang", "heartbeat"):
+    if scenario == "hang":
         return FaultPlan(hang_request_at=at, hang_seconds=30.0)
     if scenario == "kill-edit":
         return FaultPlan(kill_edit_at=1)
@@ -73,10 +72,9 @@ def fault_for(scenario: str, rng: random.Random, n_ops: int) -> FaultPlan:
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def config_for(scenario: str, faults: FaultPlan, seed: int) -> SupervisorConfig:
+def config_for(faults: FaultPlan, seed: int) -> SupervisorConfig:
     return SupervisorConfig(
-        request_deadline=None if scenario == "heartbeat" else 2.0,
-        heartbeat_timeout=0.5 if scenario == "heartbeat" else None,
+        request_deadline=2.0,
         snapshot_every=1,
         backoff=BackoffPolicy(base=0.02, factor=2.0, jitter=0.25, max_delay=0.25),
         seed=seed,
@@ -178,7 +176,7 @@ def run_chaos(
     sup = Supervisor(
         source,
         filename,
-        config=config_for(scenario, faults, seed),
+        config=config_for(faults, seed),
         **session_kwargs,
     )
     reference = ServeSession(source, filename, **session_kwargs)
@@ -230,8 +228,6 @@ def run_chaos(
             violations.append(f"{scenario}: expected at least one restart")
     if scenario == "hang" and counters["deadline_kills"] < 1:
         violations.append("hang: expected a deadline kill")
-    if scenario == "heartbeat" and counters["heartbeat_kills"] < 1:
-        violations.append("heartbeat: expected a heartbeat kill")
     if scenario == "corrupt-snapshot" and counters["restore_failures"] < 1:
         violations.append(
             "corrupt-snapshot: expected the restore to fail closed"

@@ -93,8 +93,9 @@ def error_response(
 
 def dispatch_request(session, request: dict[str, Any]) -> dict[str, Any]:
     """Dispatch one decoded request against a session and return the
-    response body (without the echoed ``id``). Shared by the in-process
-    loop below and the supervised session worker."""
+    response body (without the echoed ``id``). Servers answer raw lines
+    through :func:`answer_line`; the chaos harness's reference session
+    calls this directly."""
     return _dispatch(session, request)
 
 
@@ -151,6 +152,46 @@ def _dispatch(session, request: dict[str, Any]) -> dict[str, Any]:
     raise ProtocolError("unknown-op", f"unknown op {op!r}")
 
 
+def answer_line(
+    session,
+    line: str,
+    *,
+    max_request_bytes: int = MAX_REQUEST_BYTES,
+    after_edit: Callable[[], None] | None = None,
+) -> str:
+    """Answer one raw request line with exactly one response line.
+
+    Robust by construction: every exception except
+    :class:`AnalysisInterrupted` becomes an error response. A ``shutdown``
+    request sets ``session.shutdown_requested``. ``after_edit`` runs once
+    an edit is applied and before its ack is encoded (the supervised
+    worker makes the edit durable there)."""
+    request_id = None
+    try:
+        request = decode_request(line, max_request_bytes)
+        request_id = request.get("id")
+        if request["op"] == "shutdown":
+            session.shutdown_requested = True
+            response: dict[str, Any] = {"ok": True, "op": "shutdown"}
+        else:
+            response = _dispatch(session, request)
+            if request["op"] == "edit" and after_edit is not None:
+                after_edit()
+        if request_id is not None:
+            response["id"] = request_id
+        return encode_response(response)
+    except AnalysisInterrupted:
+        raise
+    except ProtocolError as exc:
+        return encode_response(error_response(exc.code, str(exc), request_id))
+    except (ReproError, ValueError) as exc:
+        return encode_response(error_response("error", str(exc), request_id))
+    except Exception as exc:  # noqa: BLE001 - session must survive
+        return encode_response(
+            error_response("internal", f"{type(exc).__name__}: {exc}", request_id)
+        )
+
+
 def serve_lines(
     session,
     lines: Iterable[str],
@@ -159,45 +200,17 @@ def serve_lines(
     max_request_bytes: int = MAX_REQUEST_BYTES,
 ) -> int:
     """Drive a session over an iterable of request lines, emitting one
-    response line per request through ``write``. Returns the number of
-    requests handled. Robust by construction: every exception except
-    :class:`AnalysisInterrupted` (and ``shutdown``) is converted into an
-    error response and the loop continues."""
+    response line per request through ``write`` until EOF or
+    ``shutdown``. Returns the number of requests handled."""
     handled = 0
     for raw in lines:
         line = raw.strip()
         if not line:
             continue
         handled += 1
-        request_id = None
-        try:
-            request = decode_request(line, max_request_bytes)
-            request_id = request.get("id")
-            if request["op"] == "shutdown":
-                session.shutdown_requested = True
-                resp: dict[str, Any] = {"ok": True, "op": "shutdown"}
-                if request_id is not None:
-                    resp["id"] = request_id
-                write(encode_response(resp))
-                break
-            response = _dispatch(session, request)
-            if request_id is not None:
-                response["id"] = request_id
-            write(encode_response(response))
-        except AnalysisInterrupted:
-            raise
-        except ProtocolError as exc:
-            write(encode_response(error_response(exc.code, str(exc), request_id)))
-        except (ReproError, ValueError) as exc:
-            write(encode_response(error_response("error", str(exc), request_id)))
-        except Exception as exc:  # noqa: BLE001 - session must survive
-            write(
-                encode_response(
-                    error_response(
-                        "internal", f"{type(exc).__name__}: {exc}", request_id
-                    )
-                )
-            )
+        write(answer_line(session, line, max_request_bytes=max_request_bytes))
+        if session.shutdown_requested:
+            break
     return handled
 
 

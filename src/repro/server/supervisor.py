@@ -3,18 +3,17 @@
 ``repro serve --supervised`` splits the query server into two processes:
 
 * a **session worker** child that owns the :class:`ServeSession` (all
-  resident per-combo fixpoints) and speaks the PR 9 line protocol over a
-  pipe pair. It writes a heartbeat file around every request, records
-  every acked ``edit``'s post-edit source durably *before* replying
-  (``serve-source.ckpt``, PR 5 codec), and auto-snapshots the resident
-  tables every ``snapshot_every`` requests and after every edit
-  (``serve-resident.ckpt``);
+  resident per-combo fixpoints) and speaks the serve line protocol over a
+  pipe pair. It records every acked ``edit``'s post-edit source durably
+  *before* replying (``serve-source.ckpt``, the checkpoint codec), and
+  auto-snapshots the resident tables every ``snapshot_every`` requests
+  and after every edit (``serve-resident.ckpt``);
 * a **supervisor** parent that forwards client requests to the worker and
-  watches it: a worker that exits, is killed, blows the per-request hard
-  ``request_deadline`` (a watchdog SIGKILL, *not* the cooperative
-  :class:`~repro.runtime.budget.Budget`), or stops touching its heartbeat
-  mid-request is killed and respawned with seeded exponential-backoff
-  delays (:mod:`repro.runtime.backoff`). The in-flight request is
+  watches it (:mod:`repro.runtime.worker`): a worker that exits, is
+  killed, or blows the per-request hard ``request_deadline`` (a watchdog
+  SIGKILL, *not* the cooperative :class:`~repro.runtime.budget.Budget`)
+  is replaced and respawned with seeded exponential-backoff delays
+  (:mod:`repro.runtime.backoff`). The in-flight request is
   answered with ``{"ok": false, "error": "retry", "cause": ...,
   "retry_after": ...}`` instead of the server dying; the respawned worker
   reloads the durable source (so acked edits survive) and warm-starts
@@ -39,12 +38,12 @@ Fault injection: a :class:`~repro.runtime.faults.FaultPlan` with
 ``kill_request_at`` / ``hang_request_at`` / ``kill_edit_at`` is shipped to
 the worker's *first* incarnation only; ``corrupt_snapshot`` is
 supervisor-side (bytes of the resident snapshot are flipped before the
-first respawn, exercising the fail-closed restore).
+first respawn, exercising the fail-closed restore). Both rules live in
+:mod:`repro.runtime.worker`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -57,21 +56,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.runtime import worker as workers
 from repro.runtime.backoff import BackoffPolicy
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.errors import CheckpointError, ReproError
-from repro.runtime.faults import FaultPlan, corrupt_file_tail
+from repro.runtime.faults import FaultPlan
 from repro.telemetry.core import Telemetry
 
 #: file names inside the supervisor's state directory
 SOURCE_CKPT = "serve-source.ckpt"
 RESIDENT_CKPT = "serve-resident.ckpt"
-HEARTBEAT_FILE = "serve-worker.hb"
 
 _SOURCE_KIND = "serve-source"
 
-#: seconds between SIGTERM and SIGKILL when stopping a worker
-_TERM_GRACE = 3.0
 #: supervisor poll period while waiting on a worker response (seconds)
 _POLL = 0.02
 
@@ -82,9 +79,6 @@ class SupervisorConfig:
 
     #: hard wall-clock ceiling per request; ``None`` disables the watchdog
     request_deadline: float | None = 60.0
-    #: mid-request heartbeat staleness that counts as a hung worker
-    #: (typically < ``request_deadline`` for earlier detection)
-    heartbeat_timeout: float | None = None
     #: how long a fresh worker may take to report ready (loading a large
     #: program + snapshot restore happen here)
     startup_timeout: float = 300.0
@@ -106,10 +100,8 @@ class SupervisorConfig:
     #: fault plan shipped to the first worker incarnation (testing)
     faults: FaultPlan | None = None
 
-
-def _touch(path: str) -> None:
-    with open(path, "w") as f:
-        f.write(str(time.time()))
+    def __post_init__(self) -> None:
+        workers.positive_or_none("request_deadline", self.request_deadline)
 
 
 def _load_durable_source(state_dir: str) -> tuple[str | None, int]:
@@ -133,7 +125,7 @@ def _load_durable_source(state_dir: str) -> tuple[str | None, int]:
 
 
 def _worker_main(
-    spec: dict, req_conn, resp_conn, state_dir: str, faults_dict: dict | None
+    spec: dict, req_conn, resp_conn, state_dir: str, faults: FaultPlan | None
 ) -> None:
     """Session-worker child entry: restore durable state, report ready,
     then serve requests from the pipe until EOF/shutdown.
@@ -142,27 +134,12 @@ def _worker_main(
     JSON; a crash (injected or real) simply leaves the supervisor without
     a response, which is its retry signal.
     """
-    from repro.server.protocol import (
-        MAX_REQUEST_BYTES,
-        ProtocolError,
-        decode_request,
-        dispatch_request,
-        encode_response,
-        error_response,
-    )
+    from repro.server.protocol import MAX_REQUEST_BYTES, answer_line
     from repro.server.session import ServeSession
 
-    hb_path = os.path.join(state_dir, HEARTBEAT_FILE)
     resident_path = os.path.join(state_dir, RESIDENT_CKPT)
     source_path = os.path.join(state_dir, SOURCE_CKPT)
-    _touch(hb_path)
-
-    injector = None
-    if faults_dict:
-        plan = dict(faults_dict)
-        if plan.get("drop_dep_edge") is not None:
-            plan["drop_dep_edge"] = tuple(plan["drop_dep_edge"])
-        injector = FaultPlan(**plan).injector()
+    injector = faults.injector() if faults is not None else None
 
     # Acked edits outlive crashes: prefer the durably-recorded source over
     # the original program text the supervisor was started with.
@@ -190,7 +167,6 @@ def _worker_main(
     if spec.get("preload"):
         res = session.resident()
         session._ensure_solved(res, frozenset(res.plan.node_ids))
-    _touch(hb_path)
     resp_conn.send(
         json.dumps(
             {
@@ -214,6 +190,23 @@ def _worker_main(
         except Exception:  # noqa: BLE001 - snapshots are best-effort cache
             pass
 
+    def make_edit_durable() -> None:
+        nonlocal n_edits
+        n_edits += 1
+        if injector is not None:
+            # the atomicity window: the edit is applied in memory but not
+            # yet durable — a kill here must roll it back
+            injector.after_edit_applied(n_edits)
+        save_checkpoint(
+            source_path,
+            {
+                "kind": _SOURCE_KIND,
+                "source": session.source,
+                "generation": session.generation,
+            },
+        )
+        snapshot_now()
+
     while True:
         try:
             line = req_conn.recv()
@@ -221,59 +214,21 @@ def _worker_main(
             break
         if line is None:  # supervisor-side close sentinel
             break
-        _touch(hb_path)
         n_requests += 1
         if injector is not None:
             injector.before_request(n_requests)
-        request_id = None
-        try:
-            request = decode_request(line, max_request_bytes)
-            request_id = request.get("id")
-            op = request["op"]
-            if op == "shutdown":
-                resp: dict = {"ok": True, "op": "shutdown"}
-                if request_id is not None:
-                    resp["id"] = request_id
-                resp_conn.send(encode_response(resp))
-                break
-            response = dispatch_request(session, request)
-            if op == "edit":
-                n_edits += 1
-                if injector is not None:
-                    # the atomicity window: the edit is applied in memory
-                    # but not yet durable — a kill here must roll it back
-                    injector.after_edit_applied(n_edits)
-                save_checkpoint(
-                    source_path,
-                    {
-                        "kind": _SOURCE_KIND,
-                        "source": session.source,
-                        "generation": session.generation,
-                    },
-                )
-                snapshot_now()
-            if request_id is not None:
-                response["id"] = request_id
-            resp_conn.send(encode_response(response))
-        except ProtocolError as exc:
-            resp_conn.send(
-                encode_response(error_response(exc.code, str(exc), request_id))
+        resp_conn.send(
+            answer_line(
+                session,
+                line,
+                max_request_bytes=max_request_bytes,
+                after_edit=make_edit_durable,
             )
-        except (ReproError, ValueError) as exc:
-            resp_conn.send(
-                encode_response(error_response("error", str(exc), request_id))
-            )
-        except Exception as exc:  # noqa: BLE001 - worker must survive
-            resp_conn.send(
-                encode_response(
-                    error_response(
-                        "internal", f"{type(exc).__name__}: {exc}", request_id
-                    )
-                )
-            )
+        )
+        if session.shutdown_requested:
+            break
         if snapshot_every and n_requests % snapshot_every == 0:
             snapshot_now()
-        _touch(hb_path)
 
 
 def _peek(line: str) -> tuple[object, str | None]:
@@ -336,17 +291,12 @@ class Supervisor:
             "max_request_bytes": max_request_bytes,
             "preload": preload,
         }
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
         self._rng = random.Random(self.config.seed)
         self.incarnation = 0
         self.closing = False
         self._defunct = False
         self._consecutive_failures = 0
-        self._corruption_done = False
-        self._worker = None
+        self._worker: workers.Worker | None = None
         self._req_conn = None
         self._resp_conn = None
         self.ready_info: dict = {}
@@ -355,7 +305,6 @@ class Supervisor:
             "restarts": 0,
             "crashes": 0,
             "deadline_kills": 0,
-            "heartbeat_kills": 0,
             "shed": 0,
             "retry_answers": 0,
             "spawn_failures": 0,
@@ -369,14 +318,6 @@ class Supervisor:
     def worker_pid(self) -> int | None:
         return self._worker.pid if self._worker is not None else None
 
-    def _heartbeat_age(self) -> float | None:
-        try:
-            return time.time() - os.path.getmtime(
-                os.path.join(self.state_dir, HEARTBEAT_FILE)
-            )
-        except OSError:
-            return None
-
     def _close_conns(self) -> None:
         for conn in (self._req_conn, self._resp_conn):
             if conn is not None:
@@ -386,31 +327,13 @@ class Supervisor:
                     pass
         self._req_conn = self._resp_conn = None
 
-    def _kill_worker(self) -> None:
-        """SIGKILL + reap. Used by the watchdog — no grace: a hung worker
-        by definition is not going to flush anything useful."""
-        if self._worker is None:
-            return
-        if self._worker.is_alive():
-            self._worker.kill()
-        self._worker.join()
-        self._worker = None
-        self._close_conns()
-
     def _stop_worker(self, signum: int = signal.SIGTERM) -> None:
-        """Forward ``signum`` to the worker, give it a grace period, then
-        SIGKILL; always reaps the child before returning."""
+        """Forward ``signum`` to the worker (grace period, then SIGKILL),
+        reap it, and close its pipes. The watchdog passes SIGKILL: a hung
+        worker is not going to flush anything useful."""
         if self._worker is None:
             return
-        if self._worker.is_alive():
-            try:
-                os.kill(self._worker.pid, signum)
-            except (OSError, TypeError):
-                pass
-            self._worker.join(_TERM_GRACE)
-            if self._worker.is_alive():
-                self._worker.kill()
-        self._worker.join()
+        self._worker.stop(signum)
         self._worker = None
         self._close_conns()
 
@@ -418,36 +341,27 @@ class Supervisor:
         """One spawn attempt; True when the worker reported ready."""
         self.incarnation += 1
         faults = self.config.faults
-        if (
-            faults is not None
-            and faults.corrupt_snapshot
-            and self.incarnation == 2
-            and not self._corruption_done
-        ):
-            resident = os.path.join(self.state_dir, RESIDENT_CKPT)
-            if os.path.exists(resident):
-                corrupt_file_tail(resident)
-                self._corruption_done = True
-        faults_dict = None
-        if faults is not None and self.incarnation == 1:
-            faults_dict = dataclasses.asdict(faults)
-        req_parent, req_child = self._ctx.Pipe()
-        resp_child, resp_parent = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self._spec, req_child, resp_child, self.state_dir, faults_dict),
-            daemon=True,
+        workers.corrupt_before_first_retry(
+            faults is not None and faults.corrupt_snapshot,
+            self.incarnation,
+            os.path.join(self.state_dir, RESIDENT_CKPT),
         )
-        proc.start()
+        req_parent, req_child = multiprocessing.Pipe()
+        resp_child, resp_parent = multiprocessing.Pipe()
+        worker = workers.Worker(
+            _worker_main,
+            (self._spec, req_child, resp_child, self.state_dir,
+             workers.faults_for_attempt(faults, self.incarnation)),
+        )
         req_child.close()
         resp_child.close()
-        deadline = time.monotonic() + self.config.startup_timeout
-        while time.monotonic() < deadline:
+        worker.arm(self.config.startup_timeout)
+        while worker.verdict() is None:
             try:
                 if resp_parent.poll(0.05):
                     msg = json.loads(resp_parent.recv())
                     if msg.get("ready"):
-                        self._worker = proc
+                        self._worker = worker
                         self._req_conn = req_parent
                         self._resp_conn = resp_parent
                         self.ready_info = msg
@@ -461,11 +375,7 @@ class Supervisor:
                     break  # first message was not a ready banner: bad spawn
             except (EOFError, OSError):
                 break
-            if not proc.is_alive():
-                break
-        if proc.is_alive():
-            proc.kill()
-        proc.join()
+        worker.stop(signal.SIGKILL)
         for conn in (req_parent, resp_parent):
             try:
                 conn.close()
@@ -484,8 +394,9 @@ class Supervisor:
         startup_failures = 0
         while True:
             if self.incarnation > 0:
-                attempt = max(1, min(self._consecutive_failures, 12))
-                time.sleep(self.config.backoff.delay(attempt, self._rng))
+                time.sleep(
+                    self.config.backoff.delay(self._retry_attempt(), self._rng)
+                )
             if self._spawn():
                 if self.incarnation > 1:
                     self.counters["restarts"] += 1
@@ -517,16 +428,8 @@ class Supervisor:
 
     # -- request path ----------------------------------------------------------
 
-    def _retry_after(self) -> float:
-        # informational estimate of the next respawn delay (jitter-free so
-        # it does not consume the seeded schedule)
-        attempt = max(1, min(self._consecutive_failures, 12))
-        delay = self.config.backoff.base * self.config.backoff.factor ** (
-            attempt - 1
-        )
-        if self.config.backoff.max_delay is not None:
-            delay = min(delay, self.config.backoff.max_delay)
-        return round(delay, 4)
+    def _retry_attempt(self) -> int:
+        return max(1, min(self._consecutive_failures, 12))
 
     def _retry_answer(self, request_id, cause: str) -> str:
         from repro.server.protocol import encode_response
@@ -537,7 +440,10 @@ class Supervisor:
             "ok": False,
             "error": "retry",
             "cause": cause,
-            "retry_after": self._retry_after(),
+            # jitter-free, so the estimate does not shift the seeded schedule
+            "retry_after": round(
+                self.config.backoff.nominal(self._retry_attempt()), 4
+            ),
             "message": f"worker lost mid-request ({cause}); retry the request",
         }
         if request_id is not None:
@@ -566,10 +472,11 @@ class Supervisor:
         return resp_line
 
     def _worker_lost(self, request_id, cause: str) -> str:
-        self.counters["crashes"] += 1
-        self.telemetry.count("serve.crashes")
+        counter = "deadline_kills" if cause == workers.DEADLINE else "crashes"
+        self.counters[counter] += 1
+        self.telemetry.count(f"serve.{counter}")
         self._consecutive_failures += 1
-        self._kill_worker()
+        self._stop_worker(signal.SIGKILL)
         return self._retry_answer(request_id, cause)
 
     def handle_line(self, line: str) -> str:
@@ -590,23 +497,18 @@ class Supervisor:
         try:
             self._req_conn.send(line)
         except (OSError, ValueError):
-            return self._worker_lost(request_id, "crash")
-        started = time.monotonic()
-        deadline = (
-            started + self.config.request_deadline
-            if self.config.request_deadline is not None
-            else None
-        )
+            return self._worker_lost(request_id, workers.CRASH)
+        self._worker.arm(self.config.request_deadline)
         while True:
             try:
                 have_resp = self._resp_conn.poll(_POLL)
             except (OSError, EOFError):
-                return self._worker_lost(request_id, "crash")
+                return self._worker_lost(request_id, workers.CRASH)
             if have_resp:
                 try:
                     resp_line = self._resp_conn.recv()
                 except (EOFError, OSError):
-                    return self._worker_lost(request_id, "crash")
+                    return self._worker_lost(request_id, workers.CRASH)
                 self._consecutive_failures = 0
                 if op == "stats":
                     resp_line = self._merge_stats(resp_line)
@@ -614,31 +516,17 @@ class Supervisor:
                     self.closing = True
                     self._stop_worker()
                 return resp_line
-            if not self._worker.is_alive():
+            verdict = self._worker.verdict()
+            if verdict is None:
+                continue
+            if verdict.kind == workers.CRASH:
                 # a response may have raced the death through the pipe
                 try:
                     if self._resp_conn.poll(0.2):
                         continue
                 except (OSError, EOFError):
                     pass
-                return self._worker_lost(request_id, "crash")
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                self.counters["deadline_kills"] += 1
-                self.telemetry.count("serve.deadline_kills")
-                self._consecutive_failures += 1
-                self._kill_worker()
-                return self._retry_answer(request_id, "deadline")
-            hb = self.config.heartbeat_timeout
-            if hb is not None:
-                age = self._heartbeat_age()
-                in_flight = now - started
-                if age is not None and age >= hb and in_flight >= hb:
-                    self.counters["heartbeat_kills"] += 1
-                    self.telemetry.count("serve.heartbeat_kills")
-                    self._consecutive_failures += 1
-                    self._kill_worker()
-                    return self._retry_answer(request_id, "heartbeat")
+            return self._worker_lost(request_id, verdict.kind)
 
     def ask(self, request: dict) -> dict:
         """Round-trip one request dict (programmatic convenience)."""

@@ -66,6 +66,15 @@ class TestHealthyBatch:
             run_batch([_job(LOOPS)], ckpt_dir, max_workers=workers)
         assert not os.path.exists(ckpt_dir)
 
+    @pytest.mark.parametrize("name", ["job_timeout", "heartbeat_timeout"])
+    @pytest.mark.parametrize("seconds", [0, -1.0])
+    def test_nonpositive_watchdog_durations_rejected(self, ckpt_dir, name, seconds):
+        # 0 used to mean "off" for the timeout, and a negative heartbeat
+        # timeout failed every healthy job; None is the only "off"
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            run_batch([_job(LOOPS)], ckpt_dir, **{name: seconds})
+        assert not os.path.exists(ckpt_dir)
+
 
 class TestCrashRecovery:
     def test_killed_workers_resume_from_checkpoint(self, ckpt_dir):

@@ -141,22 +141,11 @@ class TestCrashRecovery:
         finally:
             sup.stop()
 
-    def test_lost_heartbeat_is_killed_before_the_deadline(self):
-        sup = make_sup(
-            request_deadline=60.0,
-            heartbeat_timeout=0.5,
-            faults=FaultPlan(hang_request_at=2, hang_seconds=60.0),
-        )
-        try:
-            sup.start()
-            assert sup.ask({"op": "ping", "id": 1})["ok"] is True
-            lost = sup.ask({**QUERY, "id": 2})
-            assert lost["error"] == "retry"
-            assert lost["cause"] == "heartbeat"
-            assert sup.counters["heartbeat_kills"] == 1
-            assert sup.counters["deadline_kills"] == 0
-        finally:
-            sup.stop()
+    @pytest.mark.parametrize("deadline", [0, -1.0])
+    def test_nonpositive_request_deadline_rejected(self, deadline):
+        # a zero deadline would kill every request slower than one poll
+        with pytest.raises(ValueError, match="request_deadline must be > 0"):
+            SupervisorConfig(request_deadline=deadline)
 
 
 class TestSnapshotRestore:

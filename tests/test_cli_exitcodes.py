@@ -136,6 +136,49 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "error: max_workers must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--timeout", "0", "error: job_timeout must be > 0 seconds, got 0.0\n"),
+            (
+                "--heartbeat-timeout",
+                "-1",
+                "error: heartbeat_timeout must be > 0 seconds, got -1.0\n",
+            ),
+        ],
+    )
+    def test_batch_nonpositive_watchdog_exits_2(
+        self, clean_file, tmp_path, flag, value, message
+    ):
+        proc = _run(
+            [
+                "batch", clean_file, flag, value,
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+            ]
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == message
+
+    def test_serve_nonpositive_request_deadline_exits_2(self, clean_file):
+        proc = _run(
+            ["serve", clean_file, "--supervised", "--request-deadline", "0"],
+            input="",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: request_deadline must be > 0 seconds, got 0.0\n"
+        )
+
+    def test_removed_serve_heartbeat_flag_is_usage_error(self, clean_file):
+        # serve's only request watchdog is --request-deadline
+        proc = _run(
+            ["serve", clean_file, "--supervised", "--heartbeat-timeout", "1"],
+            input="",
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --heartbeat-timeout 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSignalExit:
     def _slow_source(self, tmp_path):
