@@ -49,6 +49,7 @@ from repro.ir.cfg import ProcCFG
 from repro.ir.commands import CCall, CRetBind
 from repro.ir.dominators import compute_dominators, iterated_frontier
 from repro.ir.program import Program
+from repro.runtime.worker import beat
 
 _EMPTY: frozenset = frozenset()
 
@@ -211,6 +212,7 @@ def augment_defuse(
     summary = functools.cache(lambda callees: _callee_summary(defuse, ids, callees))
 
     for proc, cfg in program.cfgs.items():
+        beat()
         if cfg.entry is not None:
             _grow(aug.defs, cfg.entry.nid,
                   ids(defuse.proc_uses_trans.get(proc, _EMPTY)))
@@ -387,6 +389,7 @@ def bypass_optimization(
             real_at.setdefault(loc, set()).add(nid)
     out = DataDeps(deps.table)
     for loc, succs in deps._adj.items():
+        beat()
         resolved = _resolve(succs, keep.union(real_at.get(loc, ())))
         if resolved:
             out._adj[loc] = resolved
@@ -526,6 +529,7 @@ def generate_datadeps(
     deps = DataDeps()
     aug = augment_defuse(program, pre, defuse, deps.table)
     for cfg in program.cfgs.values():
+        beat()
         if cfg.entry is None:
             continue
         proc_wps = [n.nid for n in cfg.nodes if n.nid in wps]

@@ -23,6 +23,7 @@ from repro.analysis.semantics import AccessLog, AnalysisContext, transfer
 from repro.domains.absloc import AbsLoc, RetLoc, VarLoc
 from repro.ir.commands import CCall, CRetBind
 from repro.ir.program import Program
+from repro.runtime.worker import beat
 
 
 @dataclass
@@ -77,6 +78,7 @@ def compute_defuse(program: Program, pre: PreAnalysis) -> DefUseInfo:
     info = DefUseInfo()
 
     for node in program.nodes():
+        beat()
         log = AccessLog()
         transfer(node, pre.state, ctx, log)
         info.defs[node.nid] = frozenset(log.defined)
@@ -151,6 +153,7 @@ def _compute_must_defs(
     while changed:
         changed = False
         for proc, cfg in program.cfgs.items():
+            beat()
             new = _proc_must(program, pre, info, must, proc)
             if new != must[proc]:
                 must[proc] = new

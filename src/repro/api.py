@@ -43,6 +43,12 @@ from repro.domains.value import AbsValue
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.program import Program, build_program
 from repro.runtime.budget import Budget
+from repro.runtime.checkpoint import (
+    Checkpointer,
+    checked_every,
+    config_fingerprint,
+    load_checkpoint,
+)
 from repro.runtime.degrade import Diagnostics, preanalysis_table
 from repro.runtime.errors import AnalysisError, BudgetExceeded
 from repro.runtime.faults import FaultInjector
@@ -410,7 +416,10 @@ def analyze(
 
     Checkpointing (see :mod:`repro.runtime.checkpoint`): with
     ``checkpoint_path`` set, the engine atomically snapshots its in-flight
-    state every ``checkpoint_every`` iterations and once more on any abort
+    state at most every ``checkpoint_every`` iterations (a floor on the
+    spacing: periodic writes are further spaced so that they cost at most
+    about a tenth of the fixpoint's time; the first one, at iteration
+    ``checkpoint_every``, always happens) and once more on any abort
     (budget exhaustion, injected crash, SIGINT/SIGTERM). ``resume=True``
     restores that snapshot — after validating format version, content
     digest, and a configuration fingerprint, failing closed with a
@@ -431,6 +440,7 @@ def analyze(
     """
     if on_budget not in ("fail", "degrade"):
         raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
+    checked_every(checkpoint_every)
     tel = Telemetry.coerce(telemetry)
     bag = DiagnosticBag() if not strict_frontend else None
     with tel.span("frontend", file=filename) as front_span:
@@ -473,19 +483,12 @@ def analyze(
             raise ValueError(
                 "checkpointing is incompatible with a fallback engine ladder"
             )
-        from repro.runtime.checkpoint import (
-            Checkpointer,
-            config_fingerprint,
-            load_checkpoint,
-        )
-
         fingerprint = config_fingerprint(domain, mode, options, program)
         checkpointer = Checkpointer(
             checkpoint_path,
             every=checkpoint_every,
             fingerprint=fingerprint,
             telemetry=tel,
-            heartbeat=True,
         )
         if resume:
             resume_payload = load_checkpoint(

@@ -35,6 +35,7 @@ Without a bag the historical fail-fast behaviour is unchanged.
 from __future__ import annotations
 
 from repro.frontend import cast as A
+from repro.runtime.worker import beat
 from repro.frontend.ctypes import (
     INT,
     VOID,
@@ -207,6 +208,7 @@ class Parser:
         unit = A.TranslationUnit(pos=self._pos())
         unit.structs = self._structs
         while self._peek().kind is not TokenKind.EOF:
+            beat()
             start = self._i
             self._depth = 0
             if self._diags is None:

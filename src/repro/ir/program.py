@@ -41,6 +41,7 @@ from repro.ir.lowering import (
     Scope,
     _array_total_length,
 )
+from repro.runtime.worker import beat
 
 INIT_PROC = "__init"
 
@@ -147,6 +148,7 @@ class ProgramBuilder:
             program.global_types[g.name] = ctype
 
         for fn in self.unit.functions:
+            beat()
             if fn.quarantined:
                 self._build_havoc_stub(program, fn, global_scope, func_names)
                 continue

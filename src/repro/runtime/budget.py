@@ -11,7 +11,9 @@ A :class:`BudgetMeter` is the mutable run-side tracker: solvers call
 exact (it preserves the historical ``max_iterations`` semantics bit for bit);
 the wall-clock and state-size checks are amortized — probed only every
 ``Budget.check_every`` ticks — so an unlimited or generous budget costs one
-integer increment and two ``None`` tests per iteration.
+integer increment and two ``None`` tests per iteration. The same probes
+report progress to a supervised worker's heartbeat
+(:func:`repro.runtime.worker.beat`).
 
 One meter may be shared across phases (main loop then narrowing, or the
 stages of an engine ladder) so that *all* work counts against the same pool;
@@ -26,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.runtime.errors import BudgetExceeded
+from repro.runtime.worker import beat
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,7 @@ class BudgetMeter:
             )
         if self.iterations % budget.check_every:
             return
+        beat()
         if self._deadline is not None:
             now = self._clock()
             if now > self._deadline:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from typing import Any
 
 import numpy as np
@@ -46,12 +47,13 @@ from repro.domains.state import AbsState
 from repro.domains.value import AbsValue, ArrayBlock, intern_value
 from repro.runtime.atomicio import atomic_write_bytes
 from repro.runtime.errors import CheckpointError
-from repro.runtime.worker import touch
 from repro.telemetry.core import Telemetry
 
 #: bump whenever the payload layout or any wire codec changes shape
 CHECKPOINT_VERSION = 1
 _MAGIC = "repro-checkpoint"
+#: the largest share of fixpoint time periodic checkpoint writes may take
+OVERHEAD = 0.1
 
 
 # --------------------------------------------------------------------------
@@ -327,14 +329,25 @@ def config_fingerprint(
 # --------------------------------------------------------------------------
 
 
+def checked_every(every: int) -> int:
+    """Validate a checkpoint spacing: a positive number of iterations."""
+    if every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+    return int(every)
+
+
 class Checkpointer:
     """Writes periodic + final-abort checkpoints for one engine run.
 
     The engine calls :meth:`maybe_write` after every completed worklist
-    iteration (cheap modulo test) and :meth:`write` from its abort path.
-    Each write also touches a ``<path>.hb`` heartbeat file when enabled, so
-    an external supervisor (the batch driver) can distinguish a slow worker
-    from a hung one by mtime age.
+    iteration and :meth:`write` from its abort path. ``every`` is the
+    least spacing of periodic writes in iterations, not a promise to
+    write that often: a write that took ``c`` seconds holds the next
+    periodic write back until ``c / OVERHEAD`` more seconds have passed,
+    so encoding the table costs at most about ``OVERHEAD`` of the
+    fixpoint however large the table grows. The first periodic write,
+    at iteration ``every``, is never held back, so an early kill still
+    finds a checkpoint; the abort write ignores the wait.
     """
 
     def __init__(
@@ -343,23 +356,23 @@ class Checkpointer:
         every: int = 200,
         fingerprint: str = "",
         telemetry: Telemetry | None = None,
-        heartbeat: bool = False,
     ) -> None:
         self.path = os.fspath(path)
-        self.every = max(1, int(every))
+        self.every = checked_every(every)
         self.fingerprint = fingerprint
         self.writes = 0
         self.bytes_written = 0
         self._telemetry = Telemetry.coerce(telemetry)
-        self._heartbeat = heartbeat
-
-    @property
-    def heartbeat_path(self) -> str:
-        return self.path + ".hb"
+        #: monotonic time before which periodic writes are skipped
+        self._due = float("-inf")
 
     def maybe_write(self, engine) -> None:
-        if engine.stats.iterations % self.every == 0:
-            self.write(engine, reason="periodic")
+        if engine.stats.iterations % self.every or time.monotonic() < self._due:
+            return
+        start = time.monotonic()
+        self.write(engine, reason="periodic")
+        end = time.monotonic()
+        self._due = end + (end - start) / OVERHEAD
 
     def write(self, engine, reason: str = "periodic") -> int:
         payload = engine.snapshot()
@@ -370,6 +383,4 @@ class Checkpointer:
         self.bytes_written += n
         self._telemetry.count("checkpoint.writes")
         self._telemetry.count("checkpoint.bytes", n)
-        if self._heartbeat:
-            touch(self.heartbeat_path)
         return n

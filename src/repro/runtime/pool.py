@@ -5,18 +5,24 @@ paper's Table 2 workloads are exactly that shape — and at that scale
 workers crash, hang, and get preempted. This driver runs one analysis per
 subprocess worker and supervises the fleet:
 
-* **crash detection** — a worker that exits nonzero, dies on a signal, or
-  stops touching its heartbeat file without having written its result is
-  treated as crashed;
+* **crash detection** — a worker that exits nonzero or dies on a signal
+  without having written its result is treated as crashed, and one whose
+  heartbeat file goes stale is treated as hung. The heartbeat is a
+  progress signal: the front end, budget probes, D̂/Û, dep-gen and the
+  step before the checkers refresh it (:func:`repro.runtime.worker.beat`),
+  checkpoint writes never do;
 * **per-job wall-clock timeouts** — SIGTERM (which the worker converts
-  into a final checkpoint flush, see :mod:`repro.runtime.interrupt`), a
-  grace period, then SIGKILL;
+  into a final checkpoint flush, see :mod:`repro.runtime.interrupt`, and
+  then a quiet exit with status ``128 + signum``), a grace period, then
+  SIGKILL;
 * **bounded retry with exponential backoff + jitter** — crashes and
   timeouts requeue the job up to ``max_retries`` times; anticipated
   analysis failures (:class:`ReproError`: parse errors, budget exhaustion
   in fail mode) are *permanent* and never retried;
 * **resume-from-checkpoint** — every worker checkpoints periodically
-  (:mod:`repro.runtime.checkpoint`); a retry that finds a checkpoint
+  (:mod:`repro.runtime.checkpoint`; ``checkpoint_every`` is the least
+  spacing in iterations, and writes are spaced further to cost at most
+  about a tenth of the fixpoint); a retry that finds a checkpoint
   resumes from it, and a retry whose checkpoint fails validation falls
   back to a fresh run (recording the restore error) rather than trusting
   a poisoned snapshot.
@@ -44,12 +50,14 @@ import json
 import os
 import random
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
 
 from repro.runtime import worker as workers
 from repro.runtime.atomicio import atomic_write_json
 from repro.runtime.backoff import BackoffPolicy
+from repro.runtime.checkpoint import checked_every
 from repro.runtime.errors import AnalysisInterrupted, ReproError
 from repro.runtime.faults import FaultPlan
 from repro.telemetry.core import Telemetry
@@ -189,15 +197,17 @@ def _count_alarms(run) -> int:
 
 
 def _worker_main(job: BatchJob, checkpoint_every: int, ckpt_path: str,
-                 result_path: str, attempt: int, resume: bool,
-                 faults: FaultPlan | None) -> None:
+                 heartbeat_path: str, result_path: str, attempt: int,
+                 resume: bool, faults: FaultPlan | None) -> None:
     """Subprocess entry: analyze one file, write the result atomically.
 
     A worker that *completes* (even with a permanent analysis error) always
     writes a result file and exits 0 — the supervisor reads the verdict
     from the file. A worker that crashes, is killed, or is interrupted
-    leaves no result file, which is the supervisor's retry signal.
+    leaves no result file, which is the supervisor's retry signal; one
+    stopped by SIGTERM/SIGINT exits quietly with status ``128 + signum``.
     """
+    workers.install_heartbeat(heartbeat_path)
     from repro.api import analyze
     from repro.runtime.errors import CheckpointError
     from repro.runtime.interrupt import raising_signal_handlers
@@ -238,6 +248,7 @@ def _worker_main(job: BatchJob, checkpoint_every: int, ckpt_path: str,
                 except OSError:
                     pass
                 run = _run(False, None)
+        workers.beat()
         result["alarms"] = _count_alarms(run)
         degraded = list(run.diagnostics.degraded_procs)
         result["degraded_procs"] = degraded
@@ -248,8 +259,10 @@ def _worker_main(job: BatchJob, checkpoint_every: int, ckpt_path: str,
         # not failed: every clean function was analyzed.
         if degraded or result["quarantined"] or result["diagnostics"]:
             result["status"] = "degraded"
-    except AnalysisInterrupted:
-        raise  # die without a result file: the supervisor retries us
+    except AnalysisInterrupted as exc:
+        # the supervisor stopped us and already knows why: die without a
+        # result file (its retry signal), and without a traceback
+        sys.exit(128 + exc.signum)
     except ReproError as exc:
         result = {
             "status": "error",
@@ -315,6 +328,7 @@ def run_batch(
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
+    checked_every(checkpoint_every)
     workers.positive_or_none("job_timeout", job_timeout)
     workers.positive_or_none("heartbeat_timeout", heartbeat_timeout)
     # the report's aggregate counters must exist even without a caller
@@ -348,6 +362,7 @@ def run_batch(
         index, attempt = entry.index, entry.attempt
         job = jobs[index]
         ckpt, result_path = paths[index]
+        heartbeat = ckpt + ".hb"
         faults = job.faults
         workers.corrupt_before_first_retry(
             faults is not None and faults.corrupt_checkpoint, attempt, ckpt
@@ -357,9 +372,9 @@ def run_batch(
             resume_launches[index] += 1
         worker = workers.Worker(
             _worker_main,
-            (job, checkpoint_every, ckpt, result_path, attempt, resume_flag,
-             workers.faults_for_attempt(faults, attempt)),
-            heartbeat=ckpt + ".hb",
+            (job, checkpoint_every, ckpt, heartbeat, result_path, attempt,
+             resume_flag, workers.faults_for_attempt(faults, attempt)),
+            heartbeat=heartbeat,
             heartbeat_timeout=heartbeat_timeout,
         )
         worker.arm(job_timeout)

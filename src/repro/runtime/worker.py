@@ -7,7 +7,10 @@ that knows how a supervised child is
 * **started** — one start method (``fork`` where available, else
   ``spawn``), always a daemon so it never outlives its supervisor;
 * **heartbeated** — :func:`touch` writes a heartbeat file (only its mtime
-  matters) and :func:`heartbeat_age` reads it back;
+  matters) and :func:`heartbeat_age` reads it back; inside the child,
+  :func:`install_heartbeat` names the file and :func:`beat`, called
+  wherever the analysis makes progress, refreshes it at most every
+  :data:`BEAT_INTERVAL` seconds;
 * **judged** — :meth:`Worker.verdict` says the child is gone (``crash``,
   with its exit code), past its armed deadline (``deadline``), or has
   let its heartbeat go stale (``heartbeat``), or ``None`` while healthy;
@@ -33,6 +36,8 @@ from repro.runtime.faults import FaultPlan, corrupt_file_tail
 
 #: seconds between the stop signal and SIGKILL
 TERM_GRACE = 3.0
+#: least seconds between two heartbeat writes from :func:`beat`
+BEAT_INTERVAL = 0.1
 
 _METHODS = multiprocessing.get_all_start_methods()
 _CONTEXT = multiprocessing.get_context("fork" if "fork" in _METHODS else "spawn")
@@ -55,6 +60,45 @@ def touch(path: str) -> None:
     torn heartbeat is harmless."""
     with open(path, "w") as f:
         f.write(str(time.time()))
+
+
+class _Heartbeat:
+    """The process's heartbeat file and when it may next be written."""
+
+    __slots__ = ("path", "due")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.due = 0.0
+
+    def beat(self) -> None:
+        now = time.monotonic()
+        if now >= self.due:
+            touch(self.path)
+            self.due = now + BEAT_INTERVAL
+
+
+#: process-wide on purpose: a supervised child runs one job, and the
+#: phases that report progress (front end, D̂/Û, dep-gen, budget meters)
+#: should not all grow a parameter for the supervisor's sake
+_heartbeat: _Heartbeat | None = None
+
+
+def install_heartbeat(path: str | None) -> None:
+    """Make :func:`beat` refresh ``path`` for the rest of this process, and
+    write it once now; ``None`` switches the heartbeat off again."""
+    global _heartbeat
+    _heartbeat = None if path is None else _Heartbeat(path)
+    if _heartbeat is not None:
+        _heartbeat.beat()
+
+
+def beat() -> None:
+    """Report progress. Phases call this per unit of work (a budget probe,
+    a procedure, a phase boundary); without an installed heartbeat it is
+    one ``None`` check, so only supervised children pay for liveness."""
+    if _heartbeat is not None:
+        _heartbeat.beat()
 
 
 def heartbeat_age(path: str) -> float | None:
@@ -93,7 +137,8 @@ class Worker:
     """One supervised child process and the watch on it.
 
     ``heartbeat`` names a file the child refreshes while it makes
-    progress; it is touched at launch so a previous attempt's stale file
+    progress (by :func:`install_heartbeat` and :func:`beat`); it is
+    touched at launch so a previous attempt's stale file
     cannot get the fresh child killed. ``heartbeat_timeout`` is how stale
     it may get. The deadline is armed separately (:meth:`arm`): the batch
     pool arms one per job, serve one per request.

@@ -10,9 +10,12 @@ truncation, and configuration mismatches all surface as a one-line
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from repro.api import analyze
 
 from repro.domains.absloc import AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc
 from repro.domains.interval import Interval
@@ -20,8 +23,10 @@ from repro.domains.octagon import Octagon
 from repro.domains.packs import Pack
 from repro.domains.state import AbsState
 from repro.domains.value import AbsValue, ArrayBlock, intern_value
+from repro.runtime import checkpoint
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
+    Checkpointer,
     encode_checkpoint,
     interval_from_wire,
     interval_to_wire,
@@ -235,3 +240,87 @@ class TestFileFormat:
         path = tmp_path / "any.ckpt"
         save_checkpoint(path, self.PAYLOAD)
         assert load_checkpoint(path)["iterations"] == 7
+
+
+class _FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class _FakeEngine:
+    """Just enough engine for a :class:`Checkpointer`: an iteration count,
+    and a snapshot whose encoding takes ``cost`` seconds on the clock."""
+
+    def __init__(self, clock: _FakeClock, cost: float) -> None:
+        self.stats = SimpleNamespace(iterations=0)
+        self.clock = clock
+        self.cost = cost
+        self.snapshots: list[int] = []
+
+    def snapshot(self) -> dict:
+        self.clock.now += self.cost
+        self.snapshots.append(self.stats.iterations)
+        return {"iterations": self.stats.iterations}
+
+
+class TestCadence:
+    """Periodic writes are spaced so that they cost at most ``OVERHEAD``
+    of the fixpoint; ``every`` is only the least spacing in iterations.
+    Clock values are binary fractions, so the arithmetic is exact."""
+
+    #: fixpoint seconds per iteration on the fake clock
+    STEP = 0.125
+
+    def _run(self, tmp_path, monkeypatch, every, cost, iterations):
+        clock = _FakeClock()
+        monkeypatch.setattr(checkpoint, "time", SimpleNamespace(monotonic=clock))
+        engine = _FakeEngine(clock, cost)
+        cp = Checkpointer(tmp_path / "run.ckpt", every=every)
+        for _ in range(iterations):
+            engine.stats.iterations += 1
+            clock.now += self.STEP
+            cp.maybe_write(engine)
+        return cp, engine
+
+    def test_first_write_fires_and_later_ones_wait_cost_over_overhead(
+        self, tmp_path, monkeypatch
+    ):
+        assert checkpoint.OVERHEAD == 0.1
+        cp, engine = self._run(tmp_path, monkeypatch, every=5, cost=0.5,
+                               iterations=100)
+        # iteration 5 always writes (clock 0.625 -> 1.125); the next write
+        # waits 0.5 / 0.1 = 5 s, i.e. 40 iterations, and lands on a
+        # multiple of 5
+        assert engine.snapshots == [5, 45, 85]
+        assert cp.writes == 3
+
+    def test_free_writes_keep_the_iteration_spacing(self, tmp_path, monkeypatch):
+        _, engine = self._run(tmp_path, monkeypatch, every=5, cost=0.0,
+                              iterations=30)
+        assert engine.snapshots == [5, 10, 15, 20, 25, 30]
+
+    def test_abort_write_ignores_the_wait(self, tmp_path, monkeypatch):
+        cp, engine = self._run(tmp_path, monkeypatch, every=5, cost=0.5,
+                               iterations=10)
+        assert engine.snapshots == [5]  # iteration 10 was held back
+        cp.write(engine, reason="abort")
+        assert engine.snapshots == [5, 10]
+        assert load_checkpoint(cp.path)["reason"] == "abort"
+
+
+class TestNonpositiveEvery:
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpointer_rejects(self, tmp_path, every):
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            Checkpointer(tmp_path / "run.ckpt", every=every)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_analyze_rejects_before_any_work(self, tmp_path, every):
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(ValueError, match=f"got {every}"):
+            analyze("int main(void) { return 0; }", checkpoint_path=str(path),
+                    checkpoint_every=every)
+        assert not path.exists()

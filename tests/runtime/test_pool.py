@@ -10,13 +10,21 @@ ever losing a job or trusting a poisoned snapshot.
 from __future__ import annotations
 
 import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.api import analyze
+from repro.bench.codegen import default_suite, generate_source
+from repro.runtime import pool
+from repro.runtime import worker as workers
+from repro.runtime.checkpoint import load_checkpoint
 from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import BatchJob, run_batch
 from repro.telemetry import Telemetry
+from tests.analysis.golden_tables import table_digest
 
 REPO = Path(__file__).resolve().parents[2]
 LOOPS = str(REPO / "examples" / "c" / "loops.c")
@@ -34,6 +42,14 @@ def ckpt_dir(tmp_path):
 
 def _job(path, **kw):
     return BatchJob(path=path, **kw)
+
+
+def _generated(tmp_path, name: str) -> str:
+    """Write the generated benchmark program ``name`` and return its path."""
+    spec = next(s for s in default_suite() if s.name == name)
+    path = tmp_path / f"{name}.c"
+    path.write_text(generate_source(spec))
+    return str(path)
 
 
 class TestHealthyBatch:
@@ -64,6 +80,12 @@ class TestHealthyBatch:
         # no worker could ever launch, so the poll loop would spin forever
         with pytest.raises(ValueError, match="max_workers must be >= 1"):
             run_batch([_job(LOOPS)], ckpt_dir, max_workers=workers)
+        assert not os.path.exists(ckpt_dir)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_nonpositive_checkpoint_every_rejected(self, ckpt_dir, every):
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            run_batch([_job(LOOPS)], ckpt_dir, checkpoint_every=every)
         assert not os.path.exists(ckpt_dir)
 
     @pytest.mark.parametrize("name", ["job_timeout", "heartbeat_timeout"])
@@ -113,6 +135,38 @@ class TestCrashRecovery:
         assert "digest" in outcome.restore_errors[0]
         assert report.exit_code == 0
 
+    @pytest.mark.skipif(
+        workers._CONTEXT.get_start_method() != "fork",
+        reason="the digest probe reaches the worker through fork",
+    )
+    def test_resumed_table_equals_in_process_table(
+        self, ckpt_dir, tmp_path, monkeypatch
+    ):
+        # the worker inherits this wrapper through fork and records the
+        # digest of the table it finished with
+        count_alarms = pool._count_alarms
+
+        def probe(run):
+            (tmp_path / f"{os.getpid()}.digest").write_text(
+                table_digest(run.result.table)
+            )
+            return count_alarms(run)
+
+        monkeypatch.setattr(pool, "_count_alarms", probe)
+        bc = _generated(tmp_path, "bc-mini")
+        report = run_batch(
+            [_job(bc, faults=FaultPlan(kill_worker_at=KILL_AT))],
+            ckpt_dir,
+            checkpoint_every=5,
+            max_retries=1,
+        )
+        (outcome,) = report.outcomes
+        assert outcome.label == "resumed×1"
+        (digest,) = [p.read_text() for p in tmp_path.glob("*.digest")]
+        with open(bc) as f:
+            expected = analyze(f.read(), filename=bc).result.table
+        assert digest == table_digest(expected)
+
     def test_retry_budget_exhaustion_fails_the_job(self, ckpt_dir):
         job = _job(BUFFERS, faults=FaultPlan(kill_worker_at=1))
         report = run_batch(
@@ -147,6 +201,46 @@ class TestHangsAndTimeouts:
         (outcome,) = report.outcomes
         assert outcome.status == "ok"
         assert outcome.causes == ["heartbeat"]
+
+    def test_heartbeat_is_fed_by_progress_not_checkpoints(self, ckpt_dir, tmp_path):
+        # front end, pre-analysis, D̂/Û and dep-gen write no checkpoint,
+        # yet a healthy job must never look hung
+        job = _job(_generated(tmp_path, "screen-mini"))
+        report = run_batch([job], ckpt_dir, heartbeat_timeout=1, max_retries=0)
+        (outcome,) = report.outcomes
+        assert outcome.status == "ok", outcome.error
+        assert outcome.causes == []
+
+    def test_timeout_stop_prints_no_traceback(self, ckpt_dir, tmp_path, capfd):
+        # vim-mini runs for seconds, so the stop lands mid-analysis
+        job = _job(_generated(tmp_path, "vim-mini"))
+        report = run_batch([job], ckpt_dir, job_timeout=1.0, max_retries=0)
+        (outcome,) = report.outcomes
+        assert outcome.status == "failed"
+        assert outcome.causes == ["timeout"]
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_sigterm_mid_fixpoint_exits_quietly_with_128_plus_signum(
+        self, ckpt_dir, tmp_path, capfd
+    ):
+        os.makedirs(ckpt_dir)
+        job = _job(_generated(tmp_path, "screen-mini"))
+        ckpt, result = pool._job_paths(ckpt_dir, job)
+        w = workers.Worker(
+            pool._worker_main,
+            (job, 5, ckpt, ckpt + ".hb", result, 1, False, None),
+        )
+        try:
+            end = time.monotonic() + 30
+            while not os.path.exists(ckpt):  # the first periodic write
+                assert w.is_alive() and time.monotonic() < end
+                time.sleep(0.01)
+        finally:
+            w.stop(signal.SIGTERM)
+        assert w.proc.exitcode == 128 + signal.SIGTERM
+        assert not os.path.exists(result)
+        assert load_checkpoint(ckpt)["reason"] == "abort"
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestPermanentFailures:

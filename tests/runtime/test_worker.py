@@ -12,6 +12,7 @@ import os
 import random
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +78,32 @@ def test_stale_heartbeat_gives_heartbeat_verdict(tmp_path):
         assert w.verdict() == workers.Verdict(workers.HEARTBEAT)
     finally:
         w.stop(signal.SIGKILL)
+
+
+def test_beat_writes_the_installed_heartbeat_at_most_every_interval(
+    tmp_path, monkeypatch
+):
+    clock = [100.0]
+    touched: list[str] = []
+    monkeypatch.setattr(workers, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(workers, "touch", touched.append)
+    hb = str(tmp_path / "child.hb")
+    workers.beat()  # no heartbeat installed: nothing to write
+    assert touched == []
+    try:
+        workers.install_heartbeat(hb)
+        assert touched == [hb]  # installing writes it once
+        clock[0] += workers.BEAT_INTERVAL / 2
+        workers.beat()
+        assert touched == [hb]
+        clock[0] += workers.BEAT_INTERVAL / 2
+        workers.beat()
+        assert touched == [hb, hb]
+    finally:
+        workers.install_heartbeat(None)
+    clock[0] += 10 * workers.BEAT_INTERVAL
+    workers.beat()
+    assert touched == [hb, hb]
 
 
 def test_sigterm_ignorer_is_killed_after_grace_and_reaped(tmp_path):

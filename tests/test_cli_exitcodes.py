@@ -159,6 +159,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == message
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [("batch", "-3"), ("analyze", "0")],
+    )
+    def test_nonpositive_checkpoint_every_exits_2(
+        self, clean_file, tmp_path, command, value
+    ):
+        ckpt = tmp_path / "ckpt"
+        where = (
+            ["--checkpoint-dir", str(ckpt)]
+            if command == "batch"
+            else ["--checkpoint", str(ckpt)]
+        )
+        proc = _run([command, clean_file, *where, "--checkpoint-every", value])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: checkpoint_every must be >= 1, got {value}\n"
+        assert not ckpt.exists()
+
     def test_serve_nonpositive_request_deadline_exits_2(self, clean_file):
         proc = _run(
             ["serve", clean_file, "--supervised", "--request-deadline", "0"],
